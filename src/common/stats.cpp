@@ -120,33 +120,6 @@ const std::vector<double>& Cdf::sorted_samples() const {
   return samples_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  OMNC_ASSERT(hi > lo);
-  OMNC_ASSERT(bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto bin = static_cast<long>((x - lo_) / span *
-                               static_cast<double>(counts_.size()));
-  bin = std::clamp<long>(bin, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const {
-  OMNC_ASSERT(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
-
 void TimeAverage::advance_to(double t, double value) {
   if (!started_) {
     started_ = true;

@@ -64,25 +64,6 @@ class Cdf {
   mutable bool sorted_ = true;
 };
 
-/// Fixed-bin histogram on [lo, hi); out-of-range samples clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Time-weighted average of a piecewise-constant signal, e.g. a queue size
 /// sampled at irregular event times.
 class TimeAverage {

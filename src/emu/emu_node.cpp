@@ -119,13 +119,6 @@ void EmuNode::emit_span(obs::SpanEvent::Kind kind, double now,
   span_sink_(event);
 }
 
-void EmuNode::step(double now) {
-  transport_.poll(local_, [&](int from, std::span<const std::uint8_t> bytes) {
-    on_frame(now, from, bytes);
-  });
-  step_local(now);
-}
-
 void EmuNode::deliver(double now, int from,
                       std::span<const std::uint8_t> bytes) {
   on_frame(now, from, bytes);

@@ -3,13 +3,13 @@
 //
 // The slot simulator advances all nodes in lockstep and hands packets around
 // as C++ objects; an EmuNode instead observes a monotonically increasing
-// *virtual clock* (the harness's vtime::Clock — wall-scaled, warped, or
-// deterministic; DESIGN.md §12) and reacts to whatever bytes its transport
-// delivers.  step(now) is pure in `now`: the node never reads time itself,
-// which is what lets the same node code run under all three clock modes.  The
-// protocol state machine is the very same NodeRuntime the simulator uses —
-// the point of the emulation runtime is that nothing protocol-level changes
-// when the process boundary appears.
+// *virtual clock* (the session mux's vtime::Clock — wall-scaled, warped, or
+// deterministic; DESIGN.md §12) and reacts to whatever bytes the mux hands
+// it.  deliver(now, ...) and step_local(now) are pure in `now`: the node
+// never reads time itself, which is what lets the same node code run under
+// all three clock modes.  The protocol state machine is the very same
+// NodeRuntime the simulator uses — the point of the emulation runtime is
+// that nothing protocol-level changes when the process boundary appears.
 //
 // Control plane (everything except coded data) is event-driven and unpaced:
 //   * ACK flooding — the destination broadcasts a GenerationAck on decode
@@ -143,38 +143,33 @@ class EmuNode {
                        std::vector<double> lambda, std::vector<double> beta,
                        int iterations);
 
-  /// Thread-safe event hook (the harness serializes).  Receives
+  /// Thread-safe event hook (the session mux serializes).  Receives
   /// kGenerationAck (at the source, value = session-time latency),
   /// kEmuParseError, and the recovery family (kEmuResync / kEmuStall).
   void set_metric_sink(std::function<void(const protocols::MetricEvent&)> sink);
 
-  /// Packet-lifecycle hook (the harness serializes alongside metric events).
+  /// Packet-lifecycle hook (the mux serializes alongside metric events).
   /// When set, the node emits a SpanEvent at every enqueue / transmit /
   /// receive / innovate / decode of a coded packet; drops are emitted by the
-  /// harness's transport tap.  Data frames carry their span id on the wire
+  /// mux's transport tap.  Data frames carry their span id on the wire
   /// whether or not a sink is installed, so traced and untraced runs
   /// exchange byte-identical traffic.
   void set_span_sink(std::function<void(const obs::SpanEvent&)> sink);
 
-  /// One scheduling round at virtual time `now`: drains the transport, runs
-  /// the control-plane timers, and paces data transmissions.  Must be
-  /// called from a single thread with non-decreasing `now`.
-  void step(double now);
-
-  /// Hands the node one received frame directly, bypassing its own transport
-  /// poll.  The session mux drains a *shared* socket once per node and
-  /// demultiplexes frames to the per-session runtimes itself, so mux-managed
-  /// nodes receive through deliver() and advance through step_local() —
-  /// together those equal step() exactly.  Same threading contract as
-  /// step(): one thread per node, non-decreasing `now`.
+  /// Hands the node one received frame.  The node never polls a transport
+  /// itself: the session mux drains each *shared* socket once per node and
+  /// demultiplexes frames to the per-session runtimes.  One scheduling round
+  /// at virtual time `now` is every deliver() for the frames due, then one
+  /// step_local().  Both must be called from a single thread with
+  /// non-decreasing `now`.
   void deliver(double now, int from, std::span<const std::uint8_t> bytes);
 
-  /// The timer/pacing half of step(): control-plane timers, recovery, and
-  /// data pacing — everything except the transport poll.
+  /// The timer/pacing half of a scheduling round: control-plane timers,
+  /// recovery, and data pacing.
   void step_local(double now);
 
   /// Generations the source has retired; readable from any thread while the
-  /// node is running (the harness's stop condition).
+  /// node is running (the mux's stop condition).
   int completed_generations() const {
     return completed_.load(std::memory_order_relaxed);
   }
@@ -201,7 +196,7 @@ class EmuNode {
   };
 
   /// Snapshot of the node's counters; call only after the node's thread has
-  /// stopped (the harness joins before reading).
+  /// stopped (the mux joins before reading).
   const Stats& stats() const { return stats_; }
 
  private:

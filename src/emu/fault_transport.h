@@ -139,7 +139,7 @@ struct FaultStats {
 };
 
 /// Maps one fault decision onto the trace event vocabulary (kEmuFault*).
-/// `node` is left unset; the harness tap fills the acting node in.
+/// `node` is left unset; the session mux tap fills the acting node in.
 protocols::MetricEvent fault_metric_event(const FaultRecord& record,
                                           std::uint32_t session_id);
 

@@ -26,7 +26,7 @@ struct LoopbackConfig {
   std::uint64_t seed = 1;
 
   /// Fixed one-way propagation/processing delay, in *virtual* seconds (read
-  /// against the clock the harness binds; instantaneous when unbound).
+  /// against the clock the session mux binds; instantaneous when unbound).
   double delay_s = 0.0;
 
   /// Per-receiver inbox bound; a full inbox drops the incoming copy (the

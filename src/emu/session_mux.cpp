@@ -13,12 +13,13 @@
 namespace omnc::emu {
 
 /// Serializes metric + span events from worker threads and the transport
-/// observer into the caller's sinks — the session-aware sibling of
-/// EmuHarness's EventTap.  Per-session protocol events arrive from the
-/// EmuNodes already stamped with their session id; transport-level events
-/// are attributed by peeking the frame bytes when they are available
-/// (drops, faults) and carry session 0 when only a byte count exists
-/// (send/deliver) — a size names no session.
+/// observer into the caller's sinks, stamping transport events with the run
+/// clock's virtual time — the same clock the nodes and fault schedules read,
+/// so mux and injector timestamps can never skew apart.  Per-session
+/// protocol events arrive from the EmuNodes already stamped with their
+/// session id; transport-level events are attributed by peeking the frame
+/// bytes when they are available (drops, faults) and carry session 0 when
+/// only a byte count exists (send/deliver) — a size names no session.
 class SessionMux::MuxTap final : public TransportObserver {
  public:
   MuxTap(const routing::SessionGraph& graph, const vtime::Clock& clock,
@@ -271,7 +272,7 @@ bool SessionMux::all_completed() const {
   return true;
 }
 
-bool SessionMux::run_threaded(vtime::Clock& clock, double tick, double horizon,
+void SessionMux::run_threaded(vtime::Clock& clock, double tick, double horizon,
                               int shards) {
   // Every shard worker plus the completion watcher (this thread) joins the
   // clock; under kWarp all of them must sleep or leave for time to advance.
@@ -325,13 +326,9 @@ bool SessionMux::run_threaded(vtime::Clock& clock, double tick, double horizon,
     });
   }
 
-  bool completed = false;
   double next = tick;
   while (clock.now() < horizon) {
-    if (all_completed()) {
-      completed = true;
-      break;
-    }
+    if (all_completed()) break;
     clock.sleep_until(next);
     next += tick;
   }
@@ -340,22 +337,17 @@ bool SessionMux::run_threaded(vtime::Clock& clock, double tick, double horizon,
   // next tick, observe `stop`, and drain out.
   clock.leave();
   for (std::thread& worker : workers) worker.join();
-  return completed;
 }
 
-bool SessionMux::run_deterministic(vtime::DeterministicClock& clock,
+void SessionMux::run_deterministic(vtime::DeterministicClock& clock,
                                    double tick, double horizon) {
   clock.start(1);
-  bool completed = false;
   while (clock.now() < horizon) {
-    if (all_completed()) {
-      completed = true;
-      break;
-    }
+    if (all_completed()) break;
     clock.advance_to(clock.now() + tick);
-    // Node-major, then session order: with sessions = 1 this is exactly
-    // EmuHarness's deterministic schedule, and the whole run is a pure
-    // function of the configured seeds.
+    // Fixed node-major, then session order: together with the cooperative
+    // clock this makes the whole run a pure function of the configured
+    // seeds.
     const double now = clock.now();
     for (int node = 0; node < graph_.size(); ++node) {
       drain_and_step(now, node, true);
@@ -365,7 +357,6 @@ bool SessionMux::run_deterministic(vtime::DeterministicClock& clock,
   for (int node = 0; node < graph_.size(); ++node) {
     drain_and_step(now, node, true);
   }
-  return completed;
 }
 
 EmuRunResult SessionMux::session_result(int session,
@@ -440,23 +431,21 @@ MuxRunResult SessionMux::run() {
   }
   transport_.bind_clock(clock.get());
 
+  // One node scheduling round per `tick` virtual seconds.
   const double tick = static_cast<double>(config_.emu.poll_sleep_us) * 1e-6 *
                       config_.emu.speedup;
-  const double horizon = config_.emu.virtual_timeout_s > 0.0
-                             ? config_.emu.virtual_timeout_s
-                             : config_.emu.wall_timeout_s * config_.emu.speedup;
+  const double horizon = config_.emu.horizon_s();
   OMNC_ASSERT_MSG(tick > 0.0, "poll_sleep_us and speedup must be positive");
 
-  bool completed = false;
   if (config_.emu.clock_mode == vtime::ClockMode::kDeterministic) {
-    completed = run_deterministic(
-        static_cast<vtime::DeterministicClock&>(*clock), tick, horizon);
+    run_deterministic(static_cast<vtime::DeterministicClock&>(*clock), tick,
+                      horizon);
   } else {
     int shards = config_.shards > 0
                      ? config_.shards
                      : static_cast<int>(std::thread::hardware_concurrency());
     shards = std::clamp(shards, 1, graph_.size());
-    completed = run_threaded(*clock, tick, horizon, shards);
+    run_threaded(*clock, tick, horizon, shards);
   }
   const double virtual_elapsed = clock->now();
   transport_.set_observer(nullptr);
@@ -472,10 +461,8 @@ MuxRunResult SessionMux::run() {
   result.demux_unknown_session =
       demux_unknown_session_.load(std::memory_order_relaxed);
   result.sessions.reserve(static_cast<std::size_t>(config_.sessions));
-  // The watcher's verdict and the per-session counters agree by
-  // construction (all_completed() reads the same atomics); re-derive from
-  // the per-session results so the aggregate can never contradict them.
-  (void)completed;
+  // Derived from the per-session results so the aggregate can never
+  // contradict them.
   result.data_ok = true;
   result.completed = true;
   for (int s = 0; s < config_.sessions; ++s) {

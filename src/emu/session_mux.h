@@ -1,13 +1,25 @@
-// Session-multiplexed emulation runtime: many concurrent unicast sessions
-// over ONE shared transport (DESIGN.md §16).
+// The emulation runtime: S >= 1 concurrent unicast sessions over ONE shared
+// transport (DESIGN.md §10, §16).
 //
-// EmuHarness runs a single session with the transport polled from one
-// thread per node.  The paper's setting — and the ROADMAP's "millions of
-// users" item — is many unicasts sharing the same lossy substrate, which is
-// also the prerequisite for inter-session coding (reverse carpooling,
-// COPE-style XOR).  SessionMux owns one EmuNode per (session, node) and
-// demultiplexes every received frame by the wire-header session id, so S
-// sessions cost N sockets (one per *physical node*), not S x N.
+// The paper's setting is many unicasts sharing the same lossy substrate,
+// which is also the prerequisite for inter-session coding (reverse
+// carpooling, COPE-style XOR).  SessionMux owns one EmuNode per (session,
+// node) and demultiplexes every received frame by the wire-header session
+// id, so S sessions cost N sockets (one per *physical node*), not S x N.  A
+// single-session run is simply S = 1.
+//
+// All timing flows through one vtime::Clock (DESIGN.md §12) that the mux
+// creates per run and binds to the transport, so nodes, delay queues, fault
+// schedules, and event timestamps share a single origin.  The clock mode
+// picks the execution strategy:
+//
+//   * kReal — K shard workers; virtual time is wall time times `speedup`,
+//     so a 60-virtual-second session finishes in a few wall seconds.
+//   * kWarp — K shard workers; virtual time jumps tick to tick as fast as
+//     the workers can step, so the same session finishes in milliseconds.
+//   * kDeterministic — no threads; nodes step round-robin on a cooperative
+//     clock, making the whole run (packet counts, goodput, traces) a pure
+//     function of the seeds.
 //
 // Sharding model — the socket is the serialization domain.  The Transport
 // contract says send(i)/poll(i) run only on node i's thread; with sessions
@@ -16,9 +28,9 @@
 // worker threads each own a slice of node indices, and per tick a worker
 // drains each owned node's socket once (recvmmsg-batched on UDP), routes
 // each frame to the right session's runtime at that node, then steps every
-// session's runtime there.  Thread count is K, independent of S — replacing
-// thread-per-session (S x N threads) scaling.  Workers ask the transport
-// for a TransportReadiness set (epoll on UDP) so idle sockets cost nothing.
+// session's runtime there.  Thread count is K, independent of S.  Workers
+// ask the transport for a TransportReadiness set (epoll on UDP) so idle
+// sockets cost nothing.
 //
 // Demux hygiene: a frame reaches a session's runtime only after
 // (a) peek_session succeeds (malformed/truncated headers are unroutable —
@@ -27,10 +39,16 @@
 // (a disagreement is corruption or forgery and must not leak across
 // sessions).  Rejections are counted per reason in MuxRunResult.
 //
-// Determinism: under ClockMode::kDeterministic the mux runs single-threaded
-// round-robin (node-major, then session order), making the whole run — all
-// S per-session traces — a pure function of the seeds.  With sessions = 1
-// the schedule is exactly EmuHarness's, byte for byte.
+// The run stops when every session's source has retired `max_generations`
+// generations or the virtual horizon expires.
+//
+// Determinism (DESIGN.md §10/§12): coding coefficients and loopback losses
+// are seed-deterministic in every mode; under kReal/kWarp *timing* — and
+// therefore exact packet counts and goodput — still varies with thread
+// scheduling, so cross-checks use tolerances there.  Under kDeterministic
+// the mux runs single-threaded round-robin (node-major, then session
+// order), so same-seed runs are byte-identical end to end and comparisons
+// can demand exact equality.
 #pragma once
 
 #include <atomic>
@@ -39,15 +57,68 @@
 #include <unordered_map>
 #include <vector>
 
-#include "emu/emu_harness.h"
 #include "emu/emu_node.h"
 #include "emu/transport.h"
 #include "obs/span.h"
 #include "protocols/metrics_bus.h"
 #include "routing/node_selection.h"
 #include "time/clock.h"
+#include "wire/frame.h"
 
 namespace omnc::emu {
+
+struct EmuConfig {
+  EmuNodeConfig node;
+
+  /// How virtual time advances; see the header comment.
+  vtime::ClockMode clock_mode = vtime::ClockMode::kReal;
+
+  /// Virtual seconds per wall second (RealClock only).
+  double speedup = 20.0;
+
+  /// Wall-clock budget under kReal; a run that has not finished by then is
+  /// cut off and reported with completed = false.
+  double wall_timeout_s = 60.0;
+
+  /// Virtual-seconds budget.  0 means wall_timeout_s * speedup, which keeps
+  /// the three clock modes cutting off at the same *virtual* horizon.
+  double virtual_timeout_s = 0.0;
+
+  /// Node scheduling period: each node steps every poll_sleep_us * speedup
+  /// microseconds of virtual time (under kReal that is a wall sleep of
+  /// poll_sleep_us between rounds).
+  int poll_sleep_us = 200;
+
+  /// The virtual second a run is cut off at.
+  double horizon_s() const {
+    return virtual_timeout_s > 0.0 ? virtual_timeout_s
+                                   : wall_timeout_s * speedup;
+  }
+};
+
+/// One session's outcome.  The shared channel cannot be split per session,
+/// so channel counters live in MuxRunResult::transport.
+struct EmuRunResult {
+  bool completed = false;  // the source retired max_generations
+  bool data_ok = false;    // every decoded generation matched the source
+  int generations_completed = 0;
+  double goodput_bytes_per_s = 0.0;  // decoded bytes / last ACK (session s)
+  double last_ack_time = 0.0;        // session seconds
+  double mean_ack_latency = 0.0;     // session seconds
+  std::vector<double> ack_latencies;
+  std::size_t parse_errors = 0;      // summed over nodes
+  std::size_t data_packets_sent = 0;
+  // Recovery-path activity, summed over nodes (see EmuNode::Stats).
+  std::size_t stall_boosts = 0;
+  std::size_t ack_keepalives = 0;
+  std::size_t resync_requests = 0;
+  std::size_t resync_replies = 0;
+  std::size_t price_decays = 0;
+  double virtual_elapsed = 0.0;      // virtual seconds the run took
+  std::vector<wire::ProbeReport> probe_reports;  // deduped (reporter, probed)
+
+  bool operator==(const EmuRunResult&) const = default;
+};
 
 struct MuxConfig {
   /// Per-node template plus clock/timeout/tick settings.  Session s
@@ -71,9 +142,7 @@ struct MuxConfig {
 struct MuxRunResult {
   bool completed = false;  // every session retired max_generations
   bool data_ok = false;    // every session's decoded data checked out
-  /// One EmuRunResult per session, index = session ordinal.  The shared
-  /// channel cannot be split per session, so each entry's `transport` is
-  /// zero — read the aggregate below.
+  /// One EmuRunResult per session, index = session ordinal.
   std::vector<EmuRunResult> sessions;
   double virtual_elapsed = 0.0;
   TransportStats transport;
@@ -82,6 +151,9 @@ struct MuxRunResult {
   std::size_t demux_unroutable = 0;        // header peek failed
   std::size_t demux_session_mismatch = 0;  // embedded id != header id
   std::size_t demux_unknown_session = 0;   // no runtime for that session id
+
+  /// Field-for-field: what a deterministic replay must reproduce.
+  bool operator==(const MuxRunResult&) const = default;
 };
 
 class SessionMux {
@@ -97,7 +169,7 @@ class SessionMux {
   void install_rates(const std::vector<double>& rates_bytes_per_s);
 
   /// Hands the rate-control outcome to every session's source for in-band
-  /// price flooding (distributed mode).
+  /// price flooding (distributed mode); see EmuNode::set_price_table.
   void install_price_table(std::vector<double> rates_bytes_per_s,
                            std::vector<double> lambda,
                            std::vector<double> beta, int iterations);
@@ -105,11 +177,15 @@ class SessionMux {
   /// Observes protocol + transport events across all sessions; per-session
   /// events carry their session id, transport-level events (send/deliver)
   /// carry session 0 because a byte count alone names no session.  The mux
-  /// serializes calls; the sink itself need not be thread-safe.
+  /// serializes calls; the sink itself need not be thread-safe.  Events
+  /// carry virtual time.
   void set_metric_sink(std::function<void(const protocols::MetricEvent&)> sink);
 
   /// Observes packet-lifecycle spans across all sessions (each event
-  /// carries its session id).  Serialized like the metric sink.
+  /// carries its session id; see obs/span.h).  Serialized like the metric
+  /// sink.  Drop spans are synthesized by peeking the wire trace tag of each
+  /// killed copy.  When unset, span instrumentation is fully disabled and
+  /// adds no work to the data path.
   void set_span_sink(std::function<void(const obs::SpanEvent&)> sink);
 
   /// Blocks until every session finishes or the horizon expires.
@@ -135,12 +211,12 @@ class SessionMux {
   void dispatch(double now, int node, int from,
                 std::span<const std::uint8_t> bytes);
   /// Drains node `node`'s transport queue, then advances every session's
-  /// runtime at that node — the mux analogue of EmuNode::step.
+  /// runtime at that node (EmuNode::deliver, then EmuNode::step_local).
   void drain_and_step(double now, int node, bool drain);
   bool all_completed() const;
-  bool run_threaded(vtime::Clock& clock, double tick, double horizon,
+  void run_threaded(vtime::Clock& clock, double tick, double horizon,
                     int shards);
-  bool run_deterministic(vtime::DeterministicClock& clock, double tick,
+  void run_deterministic(vtime::DeterministicClock& clock, double tick,
                          double horizon);
   EmuRunResult session_result(int session, double virtual_elapsed) const;
 

@@ -36,6 +36,8 @@ struct TransportStats {
   std::size_t eintr_retries = 0;        // UDP: recv/send retried after EINTR
   std::size_t rcvbuf_effective_bytes = 0;  // UDP: granted SO_RCVBUF (min
                                            // across sockets); 0 elsewhere
+
+  bool operator==(const TransportStats&) const = default;
 };
 
 /// One fault-injection decision, as emitted by FaultTransport.  `link_copy`
@@ -124,7 +126,7 @@ class Transport {
 
   virtual TransportStats stats() const = 0;
 
-  /// Attaches the run's virtual clock (the harness calls this before any
+  /// Attaches the run's virtual clock (the session mux calls this before any
   /// traffic; nullptr detaches).  All time-dependent transport behaviour —
   /// delay queues, fault schedules, event timestamps — reads this clock, so
   /// every layer of a run agrees on "now".  Decorators forward to the
@@ -147,7 +149,7 @@ class Transport {
 
  protected:
   /// Virtual seconds since run start; 0.0 when no clock is bound (traffic
-  /// outside a harness run, e.g. direct transport unit tests).
+  /// outside a mux run, e.g. direct transport unit tests).
   double clock_now() const { return clock_ ? clock_->now() : 0.0; }
 
   TransportObserver* observer_ = nullptr;

@@ -1,6 +1,6 @@
 // Bulk GF(2^8) region kernels — the hot path of network coding.
 //
-// Five backends implement the same contract:
+// Seven backends implement the same contract:
 //   * kScalarTable — per-byte full multiplication table lookups, the
 //     "traditional lookup-table approach" (MORE-style) the paper compares
 //     against;

@@ -1,6 +1,6 @@
 // Live health plane for the emulation runtime (DESIGN.md §13).
 //
-// A HealthMonitor sits behind the harness's serialized metric/span sinks and
+// A HealthMonitor sits behind the mux's serialized metric/span sinks and
 // maintains, in bounded memory:
 //
 //   * counters — frames sent / copies dropped / delivered, parse errors,
@@ -19,7 +19,7 @@
 //
 // All time is the events' own virtual time — the monitor never reads a wall
 // clock, so deterministic-clock runs produce identical health documents.
-// Thread safety comes from the caller: the harness tap already serializes
+// Thread safety comes from the caller: the mux tap already serializes
 // both sinks under one mutex (tools feed the monitor from those callbacks).
 #pragma once
 
@@ -82,7 +82,7 @@ class HealthMonitor {
  public:
   explicit HealthMonitor(HealthConfig config = {});
 
-  /// Feed points; call from the harness's (serialized) sink callbacks.
+  /// Feed points; call from the mux's (serialized) sink callbacks.
   void on_metric(const protocols::MetricEvent& event);
   void on_span(const SpanEvent& event);
 

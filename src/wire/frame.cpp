@@ -230,8 +230,7 @@ bool parse_body(FrameType type, std::uint32_t session_id,
   return false;  // unknown type (already rejected by the header check)
 }
 
-/// Everything the fixed header carries, plus the byte range the checksum
-/// field covers (trace tag + payload on v2, payload only on v1).
+/// Everything the fixed header carries.
 struct Header {
   FrameType type = FrameType::kCodedData;
   std::uint32_t session_id = 0;
@@ -239,40 +238,26 @@ struct Header {
   std::uint32_t trace_seq = 0;
   std::uint32_t checksum = 0;
   std::span<const std::uint8_t> payload;
-  std::span<const std::uint8_t> checksummed;
 };
 
-/// Validates the fixed header of either wire version; on success fills
-/// `out`.  Does not verify the checksum (peeks skip it; Frame::parse
-/// checks).
+/// Validates the fixed header; on success fills `out`.  Does not verify the
+/// checksum (peeks skip it; Frame::parse checks).
 bool parse_header(std::span<const std::uint8_t> bytes, Header* out) {
-  if (bytes.size() < kHeaderBytesV1) return false;
+  if (bytes.size() < kHeaderBytes) return false;
   if (get_u32(bytes.data()) != kMagic) return false;
-  const std::uint8_t version = bytes[4];
-  if (version != kWireVersion && version != kWireVersionV1) return false;
-  const std::size_t header_bytes =
-      version == kWireVersionV1 ? kHeaderBytesV1 : kHeaderBytes;
+  if (bytes[4] != kWireVersion) return false;
   if (!valid_type(bytes[5])) return false;
   const std::size_t payload_bytes = get_u32(bytes.data() + 10);
   // Bound the length field before any arithmetic with it: a hostile header
   // may claim up to 4 GiB.
   if (payload_bytes > kMaxFrameBytes) return false;
-  if (bytes.size() != header_bytes + payload_bytes) return false;
+  if (bytes.size() != kHeaderBytes + payload_bytes) return false;
   out->type = static_cast<FrameType>(bytes[5]);
   out->session_id = get_u32(bytes.data() + 6);
   out->checksum = get_u32(bytes.data() + 14);
-  if (version == kWireVersion) {
-    out->trace_origin = get_u16(bytes.data() + kTraceTagOffset);
-    out->trace_seq = get_u32(bytes.data() + kTraceTagOffset + 2);
-  } else {
-    out->trace_origin = 0;
-    out->trace_seq = 0;
-  }
-  out->payload = bytes.subspan(header_bytes);
-  // v1 checksums cover the payload alone; v2 starts at the trace tag so a
-  // flipped tag bit is caught like any payload corruption.
-  out->checksummed = bytes.subspan(
-      version == kWireVersionV1 ? kHeaderBytesV1 : kTraceTagOffset);
+  out->trace_origin = get_u16(bytes.data() + kTraceTagOffset);
+  out->trace_seq = get_u32(bytes.data() + kTraceTagOffset + 2);
+  out->payload = bytes.subspan(kHeaderBytes);
   return true;
 }
 
@@ -319,7 +304,7 @@ void Frame::serialize_into(std::vector<std::uint8_t>* out) const {
 bool Frame::parse(std::span<const std::uint8_t> bytes, Frame* out) {
   Header header;
   if (!parse_header(bytes, &header)) return false;
-  if (header.checksum != fnv1a(header.checksummed)) return false;
+  if (header.checksum != fnv1a(bytes.subspan(kTraceTagOffset))) return false;
   Frame frame;
   frame.type = header.type;
   frame.session_id = header.session_id;
@@ -340,7 +325,7 @@ bool DataFrameView::parse(std::span<const std::uint8_t> bytes,
       header.type != FrameType::kCodedDataCompact) {
     return false;
   }
-  if (header.checksum != fnv1a(header.checksummed)) return false;
+  if (header.checksum != fnv1a(bytes.subspan(kTraceTagOffset))) return false;
   DataFrameView view;
   view.session_id = header.session_id;
   view.trace_origin = header.trace_origin;

@@ -29,9 +29,8 @@
 //   20     4     trace sequence — per-origin counter; 0 marks an untraced
 //                frame, so (origin, seq) = (0, 0) is the null span id
 //
-// Version 1 frames (the 18-byte header without the trace tag, checksum over
-// the payload only) still parse — back-compat for recorded captures — and
-// surface as untraced.  serialize() always emits version 2.
+// Only version 2 parses; frames of any other version (including the retired
+// 18-byte version-1 header) are rejected like any other malformed header.
 //
 // Parsers are hardened: truncated buffers, inconsistent length fields,
 // corrupted checksums, unknown types/versions, and garbage bytes all return
@@ -49,15 +48,12 @@ namespace omnc::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4F4D4E43;  // "OMNC"
 inline constexpr std::uint8_t kWireVersion = 2;
-inline constexpr std::uint8_t kWireVersionV1 = 1;
 
 /// Fixed bytes before the payload of every frame.
 inline constexpr std::size_t kHeaderBytes = 24;
-/// The version-1 header (no trace tag); parsers still accept it.
-inline constexpr std::size_t kHeaderBytesV1 = 18;
-/// Where the trace tag starts — also the first checksummed byte of a v2
-/// frame (the checksum covers the tag and the payload, so a flipped tag bit
-/// is caught like any payload corruption).
+/// Where the trace tag starts — also the first checksummed byte of a frame
+/// (the checksum covers the tag and the payload, so a flipped tag bit is
+/// caught like any payload corruption).
 inline constexpr std::size_t kTraceTagOffset = 18;
 
 /// Upper bound a well-behaved sender may produce (and the emulation
@@ -183,7 +179,7 @@ struct Frame {
 
   /// Packet-lifecycle span id (obs/span.h): the session-local index of the
   /// node that created this frame and a per-origin sequence number.  seq 0
-  /// means "untraced" — control frames and v1 captures parse as (0, 0).
+  /// means "untraced" — control frames parse as (0, 0).
   std::uint16_t trace_origin = 0;
   std::uint32_t trace_seq = 0;
 
@@ -261,7 +257,7 @@ bool peek_type(std::span<const std::uint8_t> bytes, FrameType* out);
 bool peek_session(std::span<const std::uint8_t> bytes, std::uint32_t* out);
 
 /// Reads the trace tag of a frame that may never be delivered (drop
-/// observers).  Version-1 frames and control frames yield (0, 0) = untraced.
+/// observers).  Control frames yield (0, 0) = untraced.
 bool peek_trace(std::span<const std::uint8_t> bytes, std::uint16_t* origin,
                 std::uint32_t* seq);
 

@@ -24,8 +24,8 @@
 #include "coding/decoder.h"
 #include "coding/generation.h"
 #include "common/rng.h"
-#include "emu/emu_harness.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "galois/region.h"
 #include "net/topology.h"
 #include "opt/rate_control.h"
@@ -556,7 +556,8 @@ void run_emu_with_family(const CodeSpec& spec) {
   loopback.seed = 5;
   emu::LoopbackTransport transport(
       graph.size(), emu::link_matrix_from_topology(topo, graph), loopback);
-  emu::EmuConfig config;
+  emu::MuxConfig mux_config;  // one session
+  emu::EmuConfig& config = mux_config.emu;
   config.node.coding.generation_blocks = 8;
   config.node.coding.block_bytes = 64;
   config.node.cbr_bytes_per_s = 1e4;
@@ -565,9 +566,9 @@ void run_emu_with_family(const CodeSpec& spec) {
   config.clock_mode = vtime::ClockMode::kWarp;
   config.speedup = 20.0;
   config.wall_timeout_s = 45.0;
-  emu::EmuHarness harness(graph, transport, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  const emu::EmuRunResult result = harness.run();
+  emu::SessionMux mux(graph, transport, mux_config);
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  const emu::EmuRunResult result = mux.run().sessions.at(0);
   EXPECT_TRUE(result.completed) << spec.selector();
   EXPECT_TRUE(result.data_ok) << spec.selector();
   EXPECT_EQ(result.generations_completed, 3) << spec.selector();

@@ -1,13 +1,13 @@
-// Chaos soak: the fig-2 diamond under EmuHarness, swept across every shipped
-// FaultPlan preset (burst loss, jitter/reorder/dup, a 2 s partition, a
-// single-node blackout, and the combined chaos scenario).  The acceptance
-// gate is liveness + integrity: under every scenario all generations decode
-// byte-exactly and the run terminates — no deadlock, no unbounded
-// redundancy — with goodput inside a generous band of the clean run
-// (thread scheduling is nondeterministic, see DESIGN.md §10).
+// Chaos soak: the fig-2 diamond as a one-session SessionMux, swept across
+// every shipped FaultPlan preset (burst loss, jitter/reorder/dup, a 2 s
+// partition, a single-node blackout, and the combined chaos scenario).  The
+// acceptance gate is liveness + integrity: under every scenario all
+// generations decode byte-exactly and the run terminates — no deadlock, no
+// unbounded redundancy — with goodput inside a generous band of the clean
+// run (thread scheduling is nondeterministic, see DESIGN.md §10).
 //
 // The soak runs under the WarpClock (DESIGN.md §12): virtual time advances
-// as fast as the node threads can step, so sweeping every preset costs
+// as fast as the shard workers can step, so sweeping every preset costs
 // milliseconds of wall time instead of sleeping through the virtual
 // seconds.  One small RealClock smoke keeps the wall-paced path covered.
 //
@@ -16,11 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "emu/emu_harness.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "net/topology.h"
 #include "opt/rate_control.h"
 #include "opt/sunicast.h"
@@ -41,22 +42,35 @@ net::Topology diamond() {
   return net::Topology::from_link_matrix(p);
 }
 
-EmuConfig soak_config(vtime::ClockMode clock_mode) {
-  EmuConfig config;
-  config.node.coding.generation_blocks = 8;
-  config.node.coding.block_bytes = 64;
-  config.node.cbr_bytes_per_s = 1e4;
-  config.node.max_generations = kGenerations;
-  config.clock_mode = clock_mode;
-  config.speedup = 20.0;
-  config.wall_timeout_s = 45.0;
+MuxConfig soak_config(vtime::ClockMode clock_mode) {
+  MuxConfig config;
+  config.emu.node.coding.generation_blocks = 8;
+  config.emu.node.coding.block_bytes = 64;
+  config.emu.node.cbr_bytes_per_s = 1e4;
+  config.emu.node.max_generations = kGenerations;
+  config.emu.clock_mode = clock_mode;
+  config.emu.speedup = 20.0;
+  config.emu.wall_timeout_s = 45.0;
   return config;
 }
 
 struct SoakOutcome {
   EmuRunResult result;
+  TransportStats transport;
   FaultStats faults;
 };
+
+/// Runs the single session over `transport` with in-band price flooding.
+void run_session(const routing::SessionGraph& graph, Transport& transport,
+                 const MuxConfig& config, const opt::RateControlResult& rc,
+                 const std::vector<double>& rates, SoakOutcome* outcome) {
+  SessionMux mux(graph, transport, config);
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  MuxRunResult run = mux.run();
+  ASSERT_EQ(run.sessions.size(), 1u);
+  outcome->result = std::move(run.sessions[0]);
+  outcome->transport = run.transport;
+}
 
 SoakOutcome run_scenario(const std::string& preset,
                          vtime::ClockMode clock_mode = vtime::ClockMode::kWarp) {
@@ -74,11 +88,9 @@ SoakOutcome run_scenario(const std::string& preset,
   LoopbackTransport base(graph.size(), link_matrix_from_topology(topo, graph),
                          loopback);
   SoakOutcome outcome;
-  const EmuConfig config = soak_config(clock_mode);
+  const MuxConfig config = soak_config(clock_mode);
   if (preset.empty()) {
-    EmuHarness harness(graph, base, config);
-    harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-    outcome.result = harness.run();
+    run_session(graph, base, config, rc, rates, &outcome);
     return outcome;
   }
   FaultPlan plan;
@@ -86,9 +98,7 @@ SoakOutcome run_scenario(const std::string& preset,
   EXPECT_TRUE(FaultPlan::parse(preset, &plan, &error)) << preset << ": "
                                                        << error;
   FaultTransport faulty(base, plan);
-  EmuHarness harness(graph, faulty, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  outcome.result = harness.run();
+  run_session(graph, faulty, config, rc, rates, &outcome);
   outcome.faults = faulty.fault_stats();
   return outcome;
 }
@@ -120,8 +130,8 @@ TEST(EmuChaosSoak, EveryPresetRetiresAllGenerationsWithinGoodputBand) {
                           << clean.result.goodput_bytes_per_s;
     // Bounded redundancy: the stall boost must not balloon traffic past a
     // small multiple of the clean run's transmission volume.
-    EXPECT_LT(outcome.result.transport.frames_sent,
-              12 * clean.result.transport.frames_sent);
+    EXPECT_LT(outcome.transport.frames_sent,
+              12 * clean.transport.frames_sent);
   }
 }
 
@@ -150,11 +160,11 @@ TEST(EmuChaosSoak, RealClockSmoke) {
   loopback.seed = 1;
   LoopbackTransport base(graph.size(), link_matrix_from_topology(topo, graph),
                          loopback);
-  EmuConfig config = soak_config(vtime::ClockMode::kReal);
-  config.node.max_generations = 4;
-  EmuHarness harness(graph, base, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  const EmuRunResult result = harness.run();
+  MuxConfig config = soak_config(vtime::ClockMode::kReal);
+  config.emu.node.max_generations = 4;
+  SoakOutcome outcome;
+  run_session(graph, base, config, rc, rates, &outcome);
+  const EmuRunResult& result = outcome.result;
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.data_ok);
   EXPECT_EQ(result.generations_completed, 4);

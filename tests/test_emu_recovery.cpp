@@ -9,6 +9,7 @@
 //   * a blacked-out node resyncs (request + source reply) after restart.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "emu/emu_node.h"
@@ -83,12 +84,22 @@ class GateTransport final : public Transport {
   std::vector<bool> blocked_;
 };
 
+/// One scheduling round of `node` at `now`, driven the way the session mux
+/// drives it: drain the node's inbox into deliver(), then step_local().
+void step(Transport& transport, EmuNode& node, double now) {
+  transport.poll(node.local(),
+                 [&](int from, std::span<const std::uint8_t> bytes) {
+                   node.deliver(now, from, bytes);
+                 });
+  node.step_local(now);
+}
+
 /// Steps every node from `from` to `to` in lockstep (source first), the
-/// deterministic stand-in for the harness's free-running threads.
-void run_script(std::vector<EmuNode*>& nodes, double from, double to,
-                double dt = 0.01) {
+/// deterministic stand-in for the mux's shard workers.
+void run_script(Transport& transport, std::vector<EmuNode*>& nodes,
+                double from, double to, double dt = 0.01) {
   for (double t = from; t < to; t += dt) {
-    for (EmuNode* node : nodes) node->step(t);
+    for (EmuNode* node : nodes) step(transport, *node, t);
   }
 }
 
@@ -115,14 +126,14 @@ TEST(EmuRecovery, AckKeepaliveBreaksReversePathDeadlock) {
   std::vector<EmuNode*> nodes{&source, &destination};
 
   transport.block(1);  // every ACK dies on the wire
-  run_script(nodes, 0.0, 4.0);
+  run_script(transport, nodes, 0.0, 4.0);
   EXPECT_GE(destination.stats().generations_completed, 1);  // decoded fine
   EXPECT_EQ(source.stats().generations_completed, 0);       // ...but unheard
   EXPECT_GE(destination.stats().ack_keepalives, 5u);  // kept signalling
   EXPECT_GE(source.stats().stall_boosts, 1u);  // forward redundancy escalated
 
   transport.unblock(1);
-  run_script(nodes, 4.0, 8.0);
+  run_script(transport, nodes, 4.0, 8.0);
   EXPECT_EQ(source.stats().generations_completed, 2);  // deadlock broken
   EXPECT_TRUE(destination.stats().data_ok);
 }
@@ -147,7 +158,7 @@ TEST(EmuRecovery, DuplicateAndStaleAcksDoNotDoubleComplete) {
   std::vector<EmuNode*> nodes{&source, &destination};
   for (now = 0.0; now < 6.0 && source.completed_generations() < 2;
        now += 0.01) {
-    for (EmuNode* node : nodes) node->step(now);
+    for (EmuNode* node : nodes) step(transport, *node, now);
   }
   // Exactly one completion (and one latency sample) per generation, despite
   // every ACK arriving at least twice.
@@ -162,7 +173,7 @@ TEST(EmuRecovery, DuplicateAndStaleAcksDoNotDoubleComplete) {
   transport.send(1, wire::make_ack(config.session_id,
                                    wire::GenerationAck{0, 1, 250})
                         .serialize());
-  source.step(now + 0.01);
+  step(transport, source, now + 0.01);
   EXPECT_EQ(source.stats().generations_completed, completed);
 }
 
@@ -187,7 +198,7 @@ TEST(EmuRecovery, ReorderedForwardDataStillDecodes) {
   std::vector<EmuNode*> nodes{&source, &destination};
   for (now = 0.0; now < 8.0 && source.completed_generations() < 3;
        now += 0.01) {
-    for (EmuNode* node : nodes) node->step(now);
+    for (EmuNode* node : nodes) step(transport, *node, now);
   }
   EXPECT_EQ(source.stats().generations_completed, 3);
   EXPECT_TRUE(destination.stats().data_ok);
@@ -219,21 +230,21 @@ TEST(EmuRecovery, StalePriceDecaysRelayRate) {
   source.set_price_table(rates, rc.lambda, rc.beta, rc.iterations);
 
   std::vector<EmuNode*> nodes{&source, &relay, &destination};
-  run_script(nodes, 0.0, 1.0);  // prices flood and install
+  run_script(transport, nodes, 0.0, 1.0);  // prices flood and install
   ASSERT_TRUE(relay.stats().rate_installed);
   EXPECT_EQ(relay.stats().price_decays, 0u);
 
   // Source falls silent; after price_stale_s the relay enters a staleness
   // episode and throttles itself.
   transport.block(0);
-  run_script(nodes, 1.0, 3.0);
+  run_script(transport, nodes, 1.0, 3.0);
   EXPECT_GE(relay.stats().price_decays, 1u);
 
   // A fresh flood ends the episode; a later outage starts a new one.
   transport.unblock(0);
-  run_script(nodes, 3.0, 4.0);
+  run_script(transport, nodes, 3.0, 4.0);
   transport.block(0);
-  run_script(nodes, 4.0, 6.0);
+  run_script(transport, nodes, 4.0, 6.0);
   EXPECT_GE(relay.stats().price_decays, 2u);
 }
 
@@ -255,16 +266,16 @@ TEST(EmuRecovery, SilenceTriggersResyncRequestAndSourceReply) {
   destination.install_rate(0.0);
   std::vector<EmuNode*> nodes{&source, &destination};
 
-  run_script(nodes, 0.0, 1.0);  // session under way
-  transport.block(0);           // source falls silent, reverse path works
-  run_script(nodes, 1.0, 3.0);
+  run_script(transport, nodes, 0.0, 1.0);  // session under way
+  transport.block(0);  // source falls silent, reverse path works
+  run_script(transport, nodes, 1.0, 3.0);
   EXPECT_GE(destination.stats().resync_requests, 1u);
   EXPECT_GE(source.stats().resync_replies, 1u);
 
   transport.unblock(0);
   double now = 3.0;
   for (; now < 12.0 && source.completed_generations() < 8; now += 0.01) {
-    for (EmuNode* node : nodes) node->step(now);
+    for (EmuNode* node : nodes) step(transport, *node, now);
   }
   EXPECT_EQ(source.stats().generations_completed, 8);
   EXPECT_TRUE(destination.stats().data_ok);
@@ -293,7 +304,7 @@ TEST(EmuRecovery, BlackoutRestartStillRetiresEveryGeneration) {
   std::vector<EmuNode*> nodes{&source, &destination};
   for (now = 0.0; now < 15.0 && source.completed_generations() < 20;
        now += 0.01) {
-    for (EmuNode* node : nodes) node->step(now);
+    for (EmuNode* node : nodes) step(transport, *node, now);
   }
   EXPECT_GT(transport.fault_stats().blackout_rx_drops, 0u);
   EXPECT_GE(destination.stats().resync_requests, 1u);  // armed while isolated

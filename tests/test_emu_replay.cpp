@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "emu/emu_harness.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "net/topology.h"
 #include "obs/trace.h"
 #include "opt/rate_control.h"
@@ -63,7 +63,8 @@ void run_traced(std::uint64_t seed, const std::string& path) {
   plan.seed = seed;
   FaultTransport faulty(base, plan);
 
-  EmuConfig config;
+  MuxConfig mux_config;  // one session
+  EmuConfig& config = mux_config.emu;
   config.node.coding.generation_blocks = 8;
   config.node.coding.block_bytes = 64;
   config.node.cbr_bytes_per_s = 1e4;
@@ -87,11 +88,11 @@ void run_traced(std::uint64_t seed, const std::string& path) {
   const int run_id = recorder.begin_run(context, {&graph});
   obs::RunSink sink(&recorder, run_id);
 
-  EmuHarness harness(graph, faulty, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  harness.set_metric_sink(
+  SessionMux mux(graph, faulty, mux_config);
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  mux.set_metric_sink(
       [&sink](const protocols::MetricEvent& event) { sink.on_event(event); });
-  const EmuRunResult result = harness.run();
+  const MuxRunResult result = mux.run();
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.data_ok);
 }

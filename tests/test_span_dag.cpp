@@ -9,9 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "emu/emu_harness.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
 #include "net/topology.h"
 #include "obs/span.h"
 #include "obs/trace_inspect.h"
@@ -60,7 +60,8 @@ std::vector<SpanEvent> run_spanned(std::uint64_t seed, int generations,
     transport = faulty.get();
   }
 
-  emu::EmuConfig config;
+  emu::MuxConfig mux_config;  // one session
+  emu::EmuConfig& config = mux_config.emu;
   config.node.coding.generation_blocks = 8;
   config.node.coding.block_bytes = 64;
   config.node.cbr_bytes_per_s = 1e4;
@@ -71,12 +72,12 @@ std::vector<SpanEvent> run_spanned(std::uint64_t seed, int generations,
   config.speedup = 20.0;
   config.wall_timeout_s = 45.0;
 
-  emu::EmuHarness harness(graph, *transport, config);
-  harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+  emu::SessionMux mux(graph, *transport, mux_config);
+  mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
   std::vector<SpanEvent> spans;
-  harness.set_span_sink(
+  mux.set_span_sink(
       [&spans](const SpanEvent& event) { spans.push_back(event); });
-  const emu::EmuRunResult result = harness.run();
+  const emu::MuxRunResult result = mux.run();
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.data_ok);
   return spans;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "coding/coded_packet.h"
@@ -146,54 +147,6 @@ TEST(WireFrame, TraceTagRoundTripAndPeek) {
       wire::make_ack(1, wire::GenerationAck{}).serialize(), &generation));
 }
 
-TEST(WireFrame, ParsesVersion1FramesAsUntraced) {
-  // A hand-built v1 frame (18-byte header, checksum over the payload only,
-  // no trace tag) must still parse — older peers stay interoperable — and
-  // surface the null span id.
-  const wire::GenerationAck ack{42, 3, 17};
-  std::vector<std::uint8_t> body;
-  auto put_u16 = [&body](std::uint16_t v) {
-    body.push_back(static_cast<std::uint8_t>(v >> 8));
-    body.push_back(static_cast<std::uint8_t>(v));
-  };
-  auto put_u32 = [&body](std::uint32_t v) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      body.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  };
-  put_u32(ack.generation_id);
-  put_u16(ack.origin_local);
-  put_u32(ack.ack_seq);
-
-  std::vector<std::uint8_t> bytes;
-  auto put_hdr_u32 = [&bytes](std::uint32_t v) {
-    for (int shift = 24; shift >= 0; shift -= 8) {
-      bytes.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  };
-  put_hdr_u32(0x4F4D4E43);  // magic "OMNC"
-  bytes.push_back(wire::kWireVersionV1);
-  bytes.push_back(static_cast<std::uint8_t>(wire::FrameType::kGenerationAck));
-  put_hdr_u32(9);  // session id
-  put_hdr_u32(static_cast<std::uint32_t>(body.size()));
-  put_hdr_u32(wire::fnv1a(body));
-  bytes.insert(bytes.end(), body.begin(), body.end());
-  ASSERT_EQ(bytes.size(), wire::kHeaderBytesV1 + body.size());
-
-  wire::Frame parsed;
-  ASSERT_TRUE(wire::Frame::parse(bytes, &parsed));
-  EXPECT_EQ(parsed.type, wire::FrameType::kGenerationAck);
-  EXPECT_EQ(parsed.session_id, 9u);
-  EXPECT_EQ(parsed.ack, ack);
-  EXPECT_EQ(parsed.trace_origin, 0);
-  EXPECT_EQ(parsed.trace_seq, 0u);
-
-  // Corrupting a v1 payload byte must still be caught by its checksum.
-  std::vector<std::uint8_t> corrupted = bytes;
-  corrupted[wire::kHeaderBytesV1] ^= 0x5a;
-  EXPECT_FALSE(wire::Frame::parse(corrupted, &parsed));
-}
-
 // ---- hostile inputs ------------------------------------------------------
 
 TEST(WireFrameHostile, RejectsEmptyAndShortBuffers) {
@@ -206,6 +159,36 @@ TEST(WireFrameHostile, RejectsEmptyAndShortBuffers) {
         std::span<const std::uint8_t>(bytes.data(), len), &out))
         << "accepted a " << len << "-byte truncation";
   }
+}
+
+TEST(WireFrameHostile, RejectsVersion1Frames) {
+  // The retired version-1 layout: the 18-byte header without the trace tag,
+  // checksummed over the payload alone.  No producer emits it anymore, so a
+  // v1 frame is as malformed as any other bad header — the full parsers and
+  // every peek refuse it.
+  std::vector<std::uint8_t> bytes =
+      wire::make_coded_data(sample_packet()).serialize();
+  bytes.erase(bytes.begin() + wire::kTraceTagOffset,
+              bytes.begin() + wire::kHeaderBytes);
+  bytes[4] = 1;
+  const std::uint32_t sum = wire::fnv1a(
+      std::span<const std::uint8_t>(bytes).subspan(wire::kTraceTagOffset));
+  for (int i = 0; i < 4; ++i) {
+    bytes[14 + i] = static_cast<std::uint8_t>(sum >> (24 - 8 * i));
+  }
+
+  wire::Frame frame;
+  EXPECT_FALSE(wire::Frame::parse(bytes, &frame));
+  wire::DataFrameView view;
+  EXPECT_FALSE(wire::DataFrameView::parse(bytes, &view));
+  wire::FrameType type;
+  EXPECT_FALSE(wire::peek_type(bytes, &type));
+  std::uint32_t value = 0;
+  EXPECT_FALSE(wire::peek_session(bytes, &value));
+  EXPECT_FALSE(wire::peek_generation(bytes, &value));
+  EXPECT_FALSE(wire::peek_data_session(bytes, &value));
+  std::uint16_t origin = 0;
+  EXPECT_FALSE(wire::peek_trace(bytes, &origin, &value));
 }
 
 TEST(WireFrameHostile, RejectsTrailingBytes) {

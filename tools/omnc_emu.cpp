@@ -1,5 +1,5 @@
-// Drift-substitute emulation driver: one OMNC session, real threads, real
-// serialized frames, pluggable transport.
+// Drift-substitute emulation driver: one or more OMNC sessions, real
+// threads, real serialized frames, pluggable transport.
 //
 // Usage: omnc_emu [--transport loopback|udp] [--topology diamond|chain]
 //                 [--hops N] [--link-p P] [--generations N] [--gen-blocks N]
@@ -23,10 +23,9 @@
 //   --sessions      concurrent unicast sessions multiplexed over ONE
 //                   shared transport (SessionMux, DESIGN.md §16):
 //                   session s runs wire session id 1+s with seeds
-//                   --seed + s.  1 keeps the classic single-session
-//                   EmuHarness path, byte-identical to prior releases (1)
-//   --shards        worker threads for --sessions > 1 under real/warp
-//                   clocks; each owns the node indices congruent to its
+//                   --seed + s                                         (1)
+//   --shards        worker threads under real/warp clocks, at any session
+//                   count; each owns the node indices congruent to its
 //                   shard id (the socket is the serialization domain).
 //                   0 = min(nodes, hardware threads)                  (0)
 //   --code-family   code family every node runs (DESIGN.md §15):
@@ -54,11 +53,12 @@
 //   --oracle-rates  install rate-control rates directly on every node
 //                   instead of flooding them in-band as PriceUpdate frames
 //   --cross-check   run the slot simulator on the same topology and require
-//                   emu/sim goodput within [--tol-lo, --tol-hi].  Under
-//                   --clock det the tolerance gate is replaced by an exact
-//                   replay assertion: a second deterministic run on a fresh
-//                   transport must reproduce the first bit for bit (the sim
-//                   ratio is still printed for reference)
+//                   every session's emu/sim goodput within [--tol-lo,
+//                   --tol-hi].  Under --clock det the tolerance gate is
+//                   replaced by an exact replay assertion: a second
+//                   deterministic run on a fresh transport must reproduce
+//                   the whole result field for field (the sim ratio is
+//                   still printed for reference)
 //   --fault-plan    wrap the transport in a deterministic FaultTransport;
 //                   SPEC is a preset name (burst|jitter|partition|blackout|
 //                   chaos) or a directive string, see FaultPlan::parse.
@@ -76,8 +76,9 @@
 //                   evaluation cadence); prints a one-line health summary to
 //                   stderr at every snapshot                        (1)
 //
-// Exit status: 0 when the destination decoded every generation with the
-// correct bytes (and the cross-check, if requested, passed).
+// Exit status: 0 when every session's destination decoded every generation
+// with the correct bytes (and the cross-check, if requested, passed).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -88,7 +89,6 @@
 #include "codes/code_spec.h"
 #include "codes/tuner.h"
 #include "common/options.h"
-#include "emu/emu_harness.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
   const double link_p = options.get_double("link-p", 0.8);
   const std::uint64_t seed = options.get_seed("seed", 1);
 
-  emu::EmuConfig config;
+  emu::MuxConfig mux_config;
+  emu::EmuConfig& config = mux_config.emu;
   config.node.coding.generation_blocks =
       static_cast<std::uint16_t>(options.get_int("gen-blocks", 8));
   config.node.coding.block_bytes =
@@ -188,6 +189,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--sessions must be >= 1\n");
     return 2;
   }
+  mux_config.sessions = sessions;
+  mux_config.shards = shards;
 
   const net::Topology topo = make_topology(topology_name, hops, link_p);
   const net::NodeId destination = static_cast<net::NodeId>(topo.node_count() - 1);
@@ -287,10 +290,10 @@ int main(int argc, char** argv) {
     family_suffix = ";code_family=" + code_spec.selector();
   }
   if (auto_tune) family_suffix += ";auto_tune=1";
-  // Session-mux runs append their dimensions so mux records never collide
-  // with the single-session baselines (which stay byte-identical).  Shards
-  // only appear when pinned explicitly — the auto value depends on the
-  // host's core count and would make record keys machine-dependent.
+  // Multi-session runs append their dimensions so their records never
+  // collide with the single-session baselines (which stay byte-identical).
+  // Shards only appear when pinned explicitly — the auto value depends on
+  // the host's core count and would make record keys machine-dependent.
   std::string mux_suffix;
   if (sessions > 1) {
     mux_suffix = ";sessions=" + std::to_string(sessions);
@@ -340,7 +343,7 @@ int main(int argc, char** argv) {
     context.block_bytes = config.node.coding.block_bytes;
     context.capacity_bytes_per_s = capacity;
     context.cbr_bytes_per_s = config.node.cbr_bytes_per_s;
-    context.sim_seconds = config.wall_timeout_s * config.speedup;
+    context.sim_seconds = config.horizon_s();
     if (!code_spec.is_dense()) context.code_family = code_spec.selector();
     run_id = obs.recorder->begin_run(context, {&graph});
     run_sink = std::make_unique<obs::RunSink>(obs.recorder.get(), run_id);
@@ -358,299 +361,28 @@ int main(int argc, char** argv) {
     if (want_health) health.on_span(event);
   };
 
-  // --sessions > 1 takes the session-mux runtime (DESIGN.md §16); the
-  // classic single-session EmuHarness path below is untouched so its
-  // records, traces, and exit behavior stay byte-identical.
-  if (sessions > 1) {
-    emu::MuxConfig mux_config;
-    mux_config.emu = config;
-    mux_config.sessions = sessions;
-    mux_config.shards = shards;
-    emu::SessionMux mux(graph, *bundle.transport, mux_config);
+  // Every run, whatever its session count, is one SessionMux over the shared
+  // transport (DESIGN.md §16).  The factory serves the live run and the
+  // deterministic replay alike.
+  auto make_mux = [&](emu::Transport& transport) {
+    auto mux = std::make_unique<emu::SessionMux>(graph, transport, mux_config);
     if (oracle_rates) {
-      mux.install_rates(rates);
+      mux->install_rates(rates);
     } else {
-      mux.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
+      mux->install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
     }
-    if (run_sink != nullptr || want_health) {
-      mux.set_metric_sink(metric_sink);
-      mux.set_span_sink(span_sink);
-    }
-
-    std::printf("# omnc_emu: %d sessions muxed over shared %s, %s, %d nodes, "
-                "%d generations each of %u x %u B, clock %s, seed %llu\n",
-                sessions, transport_name.c_str(), topology_name.c_str(),
-                graph.size(), config.node.max_generations,
-                config.node.coding.generation_blocks,
-                config.node.coding.block_bytes,
-                vtime::clock_mode_name(config.clock_mode),
-                static_cast<unsigned long long>(seed));
-    if (!code_spec.is_dense()) {
-      std::printf("# code family: %s\n",
-                  code_spec.clamped_for(config.node.coding).selector().c_str());
-    }
-    if (bundle.fault != nullptr) {
-      std::printf("# fault plan: %s\n",
-                  bundle.fault->plan().describe().c_str());
-    }
-    const emu::MuxRunResult result = mux.run();
-
-    int gens_total = 0;
-    int sessions_completed = 0;
-    double goodput_min = 0.0, goodput_max = 0.0, goodput_sum = 0.0;
-    double latency_sum = 0.0;
-    std::size_t parse_errors = 0;
-    for (std::size_t s = 0; s < result.sessions.size(); ++s) {
-      const emu::EmuRunResult& session = result.sessions[s];
-      gens_total += session.generations_completed;
-      if (session.completed) ++sessions_completed;
-      if (s == 0 || session.goodput_bytes_per_s < goodput_min) {
-        goodput_min = session.goodput_bytes_per_s;
-      }
-      if (s == 0 || session.goodput_bytes_per_s > goodput_max) {
-        goodput_max = session.goodput_bytes_per_s;
-      }
-      goodput_sum += session.goodput_bytes_per_s;
-      latency_sum += session.mean_ack_latency;
-      parse_errors += session.parse_errors;
-    }
-    const double count = static_cast<double>(result.sessions.size());
-    std::printf("completed: %s (%d/%d sessions)  decoded data: %s\n",
-                result.completed ? "yes" : "NO (timeout)", sessions_completed,
-                sessions, result.data_ok ? "ok" : "MISMATCH");
-    std::printf("generations: %d total  session goodput min/mean/max: "
-                "%.1f / %.1f / %.1f B/s  mean latency %.3f s\n",
-                gens_total, goodput_min, goodput_sum / count, goodput_max,
-                latency_sum / count);
-    // Per-session lines stay readable for sweeps; big soaks get the laggard.
-    if (sessions <= 16) {
-      for (std::size_t s = 0; s < result.sessions.size(); ++s) {
-        const emu::EmuRunResult& session = result.sessions[s];
-        std::printf("  session %u: %d gens, %.1f B/s, last ACK %.3f s, "
-                    "mean latency %.3f s%s%s\n",
-                    mux.session_id_of(static_cast<int>(s)),
-                    session.generations_completed,
-                    session.goodput_bytes_per_s, session.last_ack_time,
-                    session.mean_ack_latency,
-                    session.completed ? "" : " [INCOMPLETE]",
-                    session.data_ok ? "" : " [DATA MISMATCH]");
-      }
-    } else {
-      std::size_t worst = 0;
-      for (std::size_t s = 1; s < result.sessions.size(); ++s) {
-        if (result.sessions[s].goodput_bytes_per_s <
-            result.sessions[worst].goodput_bytes_per_s) {
-          worst = s;
-        }
-      }
-      const emu::EmuRunResult& session = result.sessions[worst];
-      std::printf("  slowest session %u: %d gens, %.1f B/s, last ACK %.3f s\n",
-                  mux.session_id_of(static_cast<int>(worst)),
-                  session.generations_completed, session.goodput_bytes_per_s,
-                  session.last_ack_time);
-    }
-    std::printf("transport: %zu broadcasts (%zu bytes), %zu delivered, "
-                "%zu dropped, %zu parse errors, %zu EINTR retries\n",
-                result.transport.frames_sent, result.transport.bytes_sent,
-                result.transport.copies_delivered,
-                result.transport.copies_dropped, parse_errors,
-                result.transport.eintr_retries);
-    if (result.demux_unroutable + result.demux_session_mismatch +
-            result.demux_unknown_session >
-        0) {
-      std::printf("demux rejections: %zu unroutable, %zu session mismatch, "
-                  "%zu unknown session\n",
-                  result.demux_unroutable, result.demux_session_mismatch,
-                  result.demux_unknown_session);
-    }
-    if (bundle.fault != nullptr) {
-      const emu::FaultStats faults = bundle.fault->fault_stats();
-      std::printf("faults: %zu lost, %zu duplicated, %zu reordered, "
-                  "%zu partition drops, %zu blackout rx drops, "
-                  "%zu blackout tx suppressed\n",
-                  faults.lost, faults.duplicated, faults.reordered,
-                  faults.partition_drops, faults.blackout_rx_drops,
-                  faults.blackout_tx_suppressed);
-    }
-
-    if (want_health) {
-      if (health_stderr) {
-        std::fprintf(stderr, "%s\n", health.one_liner().c_str());
-      }
-      if (!health_path.empty() && !health.write_json(health_path)) {
-        std::fprintf(stderr, "cannot write --health-json %s\n",
-                     health_path.c_str());
-      }
-      std::printf("health: hop delay p50 %.6f s p99 %.6f s (%llu hops), "
-                  "decode p50 %.3f s, %zu anomalies, %zu sessions tracked\n",
-                  health.hop_delay().quantile(50.0),
-                  health.hop_delay().quantile(99.0),
-                  static_cast<unsigned long long>(health.hop_delay().count()),
-                  health.decode_latency().quantile(50.0),
-                  health.anomalies().size(), health.sessions().size());
-      for (const obs::HealthAnomaly& anomaly : health.anomalies()) {
-        std::printf("  anomaly t=%.3f %s: %s\n", anomaly.time,
-                    anomaly.kind.c_str(), anomaly.detail.c_str());
-      }
-    }
-    if (obs.recorder != nullptr) {
-      obs.recorder->record_histogram(run_id, "hop_delay", health.hop_delay());
-      obs.recorder->record_histogram(run_id, "decode_latency",
-                                     health.decode_latency());
-      obs.recorder->record_histogram(run_id, "stall_wait",
-                                     health.stall_wait());
-    }
-
-    json.record("omnc_emu", params, "mux_sessions",
-                static_cast<double>(sessions));
-    json.record("omnc_emu", params, "completed", result.completed ? 1.0 : 0.0);
-    json.record("omnc_emu", params, "data_ok", result.data_ok ? 1.0 : 0.0);
-    json.record("omnc_emu", params, "generations_total",
-                static_cast<double>(gens_total));
-    json.record("omnc_emu", params, "session_goodput_min_bytes_per_s",
-                goodput_min);
-    json.record("omnc_emu", params, "session_goodput_mean_bytes_per_s",
-                goodput_sum / count);
-    json.record("omnc_emu", params, "session_goodput_max_bytes_per_s",
-                goodput_max);
-    json.record("omnc_emu", params, "mean_ack_latency_s",
-                latency_sum / count);
-    json.record("omnc_emu", params, "frames_sent",
-                static_cast<double>(result.transport.frames_sent));
-    json.record("omnc_emu", params, "copies_delivered",
-                static_cast<double>(result.transport.copies_delivered));
-    json.record("omnc_emu", params, "copies_dropped",
-                static_cast<double>(result.transport.copies_dropped));
-    json.record("omnc_emu", params, "parse_errors",
-                static_cast<double>(parse_errors));
-    json.record("omnc_emu", params, "demux_unroutable",
-                static_cast<double>(result.demux_unroutable));
-    json.record("omnc_emu", params, "demux_session_mismatch",
-                static_cast<double>(result.demux_session_mismatch));
-    json.record("omnc_emu", params, "demux_unknown_session",
-                static_cast<double>(result.demux_unknown_session));
-    if (sessions <= 16) {
-      for (std::size_t s = 0; s < result.sessions.size(); ++s) {
-        char metric[64];
-        std::snprintf(metric, sizeof(metric),
-                      "session%u_goodput_bytes_per_s", mux.session_id_of(
-                          static_cast<int>(s)));
-        json.record("omnc_emu", params, metric,
-                    result.sessions[s].goodput_bytes_per_s);
-      }
-    }
-
-    bool ok = result.completed && result.data_ok;
-
-    if (options.get_bool("cross-check", false)) {
-      if (config.clock_mode == vtime::ClockMode::kDeterministic) {
-        // Deterministic mux runs owe an exact replay: a second run on a
-        // pristine transport stack must reproduce every session's result
-        // bit for bit.
-        TransportBundle replay_bundle = make_transport();
-        emu::SessionMux replay(graph, *replay_bundle.transport, mux_config);
-        if (oracle_rates) {
-          replay.install_rates(rates);
-        } else {
-          replay.install_price_table(rates, rc.lambda, rc.beta,
-                                     rc.iterations);
-        }
-        const emu::MuxRunResult second = replay.run();
-        bool exact =
-            second.sessions.size() == result.sessions.size() &&
-            second.transport.frames_sent == result.transport.frames_sent &&
-            second.transport.copies_delivered ==
-                result.transport.copies_delivered &&
-            second.transport.copies_dropped ==
-                result.transport.copies_dropped &&
-            second.demux_unroutable == result.demux_unroutable &&
-            second.demux_session_mismatch == result.demux_session_mismatch &&
-            second.demux_unknown_session == result.demux_unknown_session;
-        for (std::size_t s = 0; exact && s < result.sessions.size(); ++s) {
-          const emu::EmuRunResult& a = result.sessions[s];
-          const emu::EmuRunResult& b = second.sessions[s];
-          exact = a.completed == b.completed && a.data_ok == b.data_ok &&
-                  a.generations_completed == b.generations_completed &&
-                  a.goodput_bytes_per_s == b.goodput_bytes_per_s &&
-                  a.last_ack_time == b.last_ack_time &&
-                  a.mean_ack_latency == b.mean_ack_latency &&
-                  a.ack_latencies == b.ack_latencies &&
-                  a.data_packets_sent == b.data_packets_sent;
-          if (!exact) {
-            std::printf("replay divergence in session %u: goodput %.17g vs "
-                        "%.17g, gens %d vs %d\n",
-                        mux.session_id_of(static_cast<int>(s)),
-                        a.goodput_bytes_per_s, b.goodput_bytes_per_s,
-                        a.generations_completed, b.generations_completed);
-          }
-        }
-        std::printf("cross-check: deterministic mux replay %s "
-                    "(%zu sessions)\n",
-                    exact ? "EXACT" : "DIVERGED", result.sessions.size());
-        json.record("omnc_emu", params, "replay_exact", exact ? 1.0 : 0.0);
-        ok = ok && exact;
-      } else {
-        // Tolerance mode: each session is an independent unicast of the
-        // same shape, so every one must individually land inside the
-        // emu/sim band a single-session run is held to.
-        protocols::ProtocolConfig sim_config;
-        sim_config.coding = config.node.coding;
-        sim_config.mac.capacity_bytes_per_s = capacity;
-        sim_config.mac.slot_bytes = coding::CodedPacket::kHeaderBytes +
-                                    config.node.coding.generation_blocks +
-                                    config.node.coding.block_bytes;
-        sim_config.mac.fading.enabled = false;
-        sim_config.cbr_bytes_per_s = config.node.cbr_bytes_per_s;
-        sim_config.max_generations = config.node.max_generations;
-        sim_config.max_sim_seconds = 600.0;
-        sim_config.seed = seed;
-        protocols::OmncProtocol sim(topo, graph, sim_config,
-                                    protocols::OmncConfig{});
-        const protocols::SessionResult sim_result = sim.run();
-        const double tol_lo = options.get_double("tol-lo", 0.2);
-        const double tol_hi = options.get_double("tol-hi", 3.5);
-        int within = 0;
-        for (const emu::EmuRunResult& session : result.sessions) {
-          const double ratio =
-              sim_result.throughput_bytes_per_s > 0.0
-                  ? session.goodput_bytes_per_s /
-                        sim_result.throughput_bytes_per_s
-                  : 0.0;
-          if (ratio >= tol_lo && ratio <= tol_hi) ++within;
-        }
-        const bool all_within =
-            within == static_cast<int>(result.sessions.size());
-        std::printf("cross-check: sim goodput %.1f B/s, %d/%zu sessions "
-                    "inside [%.2f, %.2f] — %s\n",
-                    sim_result.throughput_bytes_per_s, within,
-                    result.sessions.size(), tol_lo, tol_hi,
-                    all_within ? "ok" : "OUT OF TOLERANCE");
-        json.record("omnc_emu", params, "sim_goodput_bytes_per_s",
-                    sim_result.throughput_bytes_per_s);
-        json.record("omnc_emu", params, "sessions_within_tolerance",
-                    static_cast<double>(within));
-        ok = ok && all_within;
-      }
-    }
-
-    bench::finish_obs(obs);
-    return ok ? 0 : 1;
-  }
-
-  emu::EmuHarness harness(graph, *bundle.transport, config);
-  if (oracle_rates) {
-    harness.install_rates(rates);
-  } else {
-    harness.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-  }
+    return mux;
+  };
+  const std::unique_ptr<emu::SessionMux> mux = make_mux(*bundle.transport);
   if (run_sink != nullptr || want_health) {
-    harness.set_metric_sink(metric_sink);
-    harness.set_span_sink(span_sink);
+    mux->set_metric_sink(metric_sink);
+    mux->set_span_sink(span_sink);
   }
 
-  std::printf("# omnc_emu: %s over %s, %d nodes, %d generations of %u x %u B, "
-              "clock %s, speedup %.0fx, seed %llu\n",
-              topology_name.c_str(), transport_name.c_str(), graph.size(),
+  std::printf("# omnc_emu: %d session%s over %s, %s, %d nodes, %d generations "
+              "of %u x %u B each, clock %s, speedup %.0fx, seed %llu\n",
+              sessions, sessions == 1 ? "" : "s", transport_name.c_str(),
+              topology_name.c_str(), graph.size(),
               config.node.max_generations,
               config.node.coding.generation_blocks,
               config.node.coding.block_bytes,
@@ -664,20 +396,83 @@ int main(int argc, char** argv) {
     std::printf("# fault plan: %s\n",
                 bundle.fault->plan().describe().c_str());
   }
-  const emu::EmuRunResult result = harness.run();
+  const emu::MuxRunResult result = mux->run();
 
-  std::printf("completed: %s  decoded data: %s\n",
-              result.completed ? "yes" : "NO (timeout)",
-              result.data_ok ? "ok" : "MISMATCH");
-  std::printf("generations: %d  goodput: %.1f B/s  last ACK at %.3f s  "
-              "mean latency %.3f s\n",
-              result.generations_completed, result.goodput_bytes_per_s,
-              result.last_ack_time, result.mean_ack_latency);
+  // Aggregates over sessions; with one session each is that session's own
+  // value, bit for bit.
+  auto total = [&](std::size_t emu::EmuRunResult::*counter) {
+    std::size_t sum = 0;
+    for (const emu::EmuRunResult& session : result.sessions) {
+      sum += session.*counter;
+    }
+    return sum;
+  };
+  int gens_total = 0;
+  int sessions_completed = 0;
+  double goodput_sum = 0.0;
+  double latency_sum = 0.0;
+  for (const emu::EmuRunResult& session : result.sessions) {
+    gens_total += session.generations_completed;
+    if (session.completed) ++sessions_completed;
+    goodput_sum += session.goodput_bytes_per_s;
+    latency_sum += session.mean_ack_latency;
+  }
+  const auto [slowest, fastest] = std::minmax_element(
+      result.sessions.begin(), result.sessions.end(),
+      [](const emu::EmuRunResult& a, const emu::EmuRunResult& b) {
+        return a.goodput_bytes_per_s < b.goodput_bytes_per_s;
+      });
+  const double count = static_cast<double>(result.sessions.size());
+  const double goodput_mean = goodput_sum / count;
+  const double latency_mean = latency_sum / count;
+  const std::size_t parse_errors = total(&emu::EmuRunResult::parse_errors);
+  const std::size_t stall_boosts = total(&emu::EmuRunResult::stall_boosts);
+  const std::size_t ack_keepalives = total(&emu::EmuRunResult::ack_keepalives);
+  const std::size_t resync_requests =
+      total(&emu::EmuRunResult::resync_requests);
+  const std::size_t resync_replies = total(&emu::EmuRunResult::resync_replies);
+  const std::size_t price_decays = total(&emu::EmuRunResult::price_decays);
+
+  std::printf("completed: %s (%d/%d sessions)  decoded data: %s\n",
+              result.completed ? "yes" : "NO (timeout)", sessions_completed,
+              sessions, result.data_ok ? "ok" : "MISMATCH");
+  std::printf("generations: %d total  session goodput min/mean/max: "
+              "%.1f / %.1f / %.1f B/s  mean latency %.3f s\n",
+              gens_total, slowest->goodput_bytes_per_s, goodput_mean,
+              fastest->goodput_bytes_per_s, latency_mean);
+  auto print_session = [&](const char* label, std::size_t s) {
+    const emu::EmuRunResult& session = result.sessions[s];
+    std::printf("  %s %u: %d gens, %.1f B/s, last ACK %.3f s, "
+                "mean latency %.3f s%s%s\n",
+                label, mux->session_id_of(static_cast<int>(s)),
+                session.generations_completed, session.goodput_bytes_per_s,
+                session.last_ack_time, session.mean_ack_latency,
+                session.completed ? "" : " [INCOMPLETE]",
+                session.data_ok ? "" : " [DATA MISMATCH]");
+  };
+  // Per-session lines stay readable for sweeps; big soaks get the laggard.
+  if (sessions <= 16) {
+    for (std::size_t s = 0; s < result.sessions.size(); ++s) {
+      print_session("session", s);
+    }
+  } else {
+    print_session("slowest session",
+                  static_cast<std::size_t>(slowest - result.sessions.begin()));
+  }
   std::printf("transport: %zu broadcasts (%zu bytes), %zu delivered, "
-              "%zu dropped, %zu parse errors\n",
+              "%zu dropped, %zu parse errors, %zu EINTR retries\n",
               result.transport.frames_sent, result.transport.bytes_sent,
               result.transport.copies_delivered,
-              result.transport.copies_dropped, result.parse_errors);
+              result.transport.copies_dropped, parse_errors,
+              result.transport.eintr_retries);
+  if (result.demux_unroutable + result.demux_session_mismatch +
+          result.demux_unknown_session >
+      0) {
+    std::printf("demux rejections: %zu unroutable, %zu session mismatch, "
+                "%zu unknown session\n",
+                result.demux_unroutable, result.demux_session_mismatch,
+                result.demux_unknown_session);
+  }
   if (bundle.fault != nullptr) {
     const emu::FaultStats faults = bundle.fault->fault_stats();
     std::printf("faults: %zu lost, %zu duplicated, %zu reordered, "
@@ -687,14 +482,13 @@ int main(int argc, char** argv) {
                 faults.partition_drops, faults.blackout_rx_drops,
                 faults.blackout_tx_suppressed);
   }
-  if (result.stall_boosts + result.ack_keepalives + result.resync_requests +
-          result.resync_replies + result.price_decays >
+  if (stall_boosts + ack_keepalives + resync_requests + resync_replies +
+          price_decays >
       0) {
     std::printf("recovery: %zu stall boosts, %zu ACK keepalives, "
                 "%zu resync requests, %zu resync replies, %zu price decays\n",
-                result.stall_boosts, result.ack_keepalives,
-                result.resync_requests, result.resync_replies,
-                result.price_decays);
+                stall_boosts, ack_keepalives, resync_requests, resync_replies,
+                price_decays);
   }
 
   if (want_health) {
@@ -708,12 +502,12 @@ int main(int argc, char** argv) {
                    health_path.c_str());
     }
     std::printf("health: hop delay p50 %.6f s p99 %.6f s (%llu hops), "
-                "decode p50 %.3f s, %zu anomalies\n",
+                "decode p50 %.3f s, %zu anomalies, %zu sessions tracked\n",
                 health.hop_delay().quantile(50.0),
                 health.hop_delay().quantile(99.0),
                 static_cast<unsigned long long>(health.hop_delay().count()),
                 health.decode_latency().quantile(50.0),
-                health.anomalies().size());
+                health.anomalies().size(), health.sessions().size());
     for (const obs::HealthAnomaly& anomaly : health.anomalies()) {
       std::printf("  anomaly t=%.3f %s: %s\n", anomaly.time,
                   anomaly.kind.c_str(), anomaly.detail.c_str());
@@ -727,23 +521,27 @@ int main(int argc, char** argv) {
   }
 
   // Link-probe estimates vs the topology's true probabilities.
-  if (config.node.probe_window_s > 0.0 && !result.probe_reports.empty()) {
+  if (config.node.probe_window_s > 0.0) {
     double abs_error = 0.0;
     int probed = 0;
-    for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-      const auto& edge = graph.edges[e];
-      for (const wire::ProbeReport& report : result.probe_reports) {
-        if (report.reporter_local != edge.to ||
-            report.probed_local != edge.from) {
-          continue;
+    for (std::size_t s = 0; s < result.sessions.size(); ++s) {
+      for (std::size_t e = 0; e < graph.edges.size(); ++e) {
+        const auto& edge = graph.edges[e];
+        for (const wire::ProbeReport& report :
+             result.sessions[s].probe_reports) {
+          if (report.reporter_local != edge.to ||
+              report.probed_local != edge.from) {
+            continue;
+          }
+          abs_error += std::abs(report.estimate() - edge.p);
+          ++probed;
+          if (obs.recorder != nullptr) {
+            obs.recorder->record_probe(static_cast<int>(s),
+                                       static_cast<int>(e), edge.from,
+                                       edge.to, edge.p, report.estimate());
+          }
+          break;
         }
-        abs_error += std::abs(report.estimate() - edge.p);
-        ++probed;
-        if (obs.recorder != nullptr) {
-          obs.recorder->record_probe(0, static_cast<int>(e), edge.from,
-                                     edge.to, edge.p, report.estimate());
-        }
-        break;
       }
     }
     if (probed > 0) {
@@ -752,70 +550,83 @@ int main(int argc, char** argv) {
     }
   }
 
-  json.record("omnc_emu", params, "goodput_bytes_per_s",
-              result.goodput_bytes_per_s);
-  json.record("omnc_emu", params, "generations_completed",
-              result.generations_completed);
-  json.record("omnc_emu", params, "mean_ack_latency_s",
-              result.mean_ack_latency);
-  json.record("omnc_emu", params, "last_ack_time_s", result.last_ack_time);
-  json.record("omnc_emu", params, "completed", result.completed ? 1.0 : 0.0);
-  json.record("omnc_emu", params, "data_ok", result.data_ok ? 1.0 : 0.0);
-  json.record("omnc_emu", params, "frames_sent",
-              static_cast<double>(result.transport.frames_sent));
-  json.record("omnc_emu", params, "copies_delivered",
-              static_cast<double>(result.transport.copies_delivered));
-  json.record("omnc_emu", params, "copies_dropped",
-              static_cast<double>(result.transport.copies_dropped));
-  json.record("omnc_emu", params, "parse_errors",
-              static_cast<double>(result.parse_errors));
+  auto record = [&](const std::string& metric, double value) {
+    json.record("omnc_emu", params, metric, value);
+  };
+  // The single-session record names predate the mux and the committed
+  // baselines (BENCH_emu_goodput, BENCH_8, BENCH_9) gate them; multi-session
+  // records carry the per-session spread BENCH_10 gates instead.
+  if (sessions == 1) {
+    const emu::EmuRunResult& session = result.sessions.front();
+    record("goodput_bytes_per_s", session.goodput_bytes_per_s);
+    record("generations_completed", session.generations_completed);
+    record("last_ack_time_s", session.last_ack_time);
+  } else {
+    record("mux_sessions", sessions);
+    record("generations_total", gens_total);
+    record("session_goodput_min_bytes_per_s", slowest->goodput_bytes_per_s);
+    record("session_goodput_mean_bytes_per_s", goodput_mean);
+    record("session_goodput_max_bytes_per_s", fastest->goodput_bytes_per_s);
+  }
+  record("mean_ack_latency_s", latency_mean);
+  record("completed", result.completed ? 1.0 : 0.0);
+  record("data_ok", result.data_ok ? 1.0 : 0.0);
+  record("frames_sent", static_cast<double>(result.transport.frames_sent));
+  record("copies_delivered",
+         static_cast<double>(result.transport.copies_delivered));
+  record("copies_dropped",
+         static_cast<double>(result.transport.copies_dropped));
+  record("parse_errors", static_cast<double>(parse_errors));
+  record("demux_unroutable", static_cast<double>(result.demux_unroutable));
+  record("demux_session_mismatch",
+         static_cast<double>(result.demux_session_mismatch));
+  record("demux_unknown_session",
+         static_cast<double>(result.demux_unknown_session));
+  if (sessions > 1 && sessions <= 16) {
+    for (std::size_t s = 0; s < result.sessions.size(); ++s) {
+      record("session" +
+                 std::to_string(mux->session_id_of(static_cast<int>(s))) +
+                 "_goodput_bytes_per_s",
+             result.sessions[s].goodput_bytes_per_s);
+    }
+  }
   if (auto_tune) {
-    json.record("omnc_emu", params, "tuned_gen_blocks",
-                static_cast<double>(tuned.generation_blocks));
-    json.record("omnc_emu", params, "tuned_send_count",
-                static_cast<double>(tuned.send_count));
-    json.record("omnc_emu", params, "tuned_redundancy", tuned.redundancy);
-    json.record("omnc_emu", params, "tuned_success_prob", tuned.success_prob);
+    record("tuned_gen_blocks", static_cast<double>(tuned.generation_blocks));
+    record("tuned_send_count", static_cast<double>(tuned.send_count));
+    record("tuned_redundancy", tuned.redundancy);
+    record("tuned_success_prob", tuned.success_prob);
   }
   if (want_health) {
     // Histogram-derived metrics are deterministic under --clock det (bucket
     // floors, exact counts), so bench_compare can gate them like any other.
-    json.record("omnc_emu", params, "hop_delay_p50_s",
-                health.hop_delay().quantile(50.0));
-    json.record("omnc_emu", params, "hop_delay_p99_s",
-                health.hop_delay().quantile(99.0));
-    json.record("omnc_emu", params, "decode_latency_p50_s",
-                health.decode_latency().quantile(50.0));
-    json.record("omnc_emu", params, "health_anomalies",
-                static_cast<double>(health.anomalies().size()));
+    record("hop_delay_p50_s", health.hop_delay().quantile(50.0));
+    record("hop_delay_p99_s", health.hop_delay().quantile(99.0));
+    record("decode_latency_p50_s", health.decode_latency().quantile(50.0));
+    record("health_anomalies",
+           static_cast<double>(health.anomalies().size()));
   }
   if (bundle.fault != nullptr) {
     const emu::FaultStats faults = bundle.fault->fault_stats();
-    json.record("omnc_emu", params, "fault_lost",
-                static_cast<double>(faults.lost));
-    json.record("omnc_emu", params, "fault_duplicated",
-                static_cast<double>(faults.duplicated));
-    json.record("omnc_emu", params, "fault_reordered",
-                static_cast<double>(faults.reordered));
-    json.record("omnc_emu", params, "fault_partition_drops",
-                static_cast<double>(faults.partition_drops));
-    json.record("omnc_emu", params, "fault_blackout_drops",
-                static_cast<double>(faults.blackout_rx_drops +
-                                    faults.blackout_tx_suppressed));
-    json.record("omnc_emu", params, "stall_boosts",
-                static_cast<double>(result.stall_boosts));
-    json.record("omnc_emu", params, "ack_keepalives",
-                static_cast<double>(result.ack_keepalives));
-    json.record("omnc_emu", params, "resync_requests",
-                static_cast<double>(result.resync_requests));
-    json.record("omnc_emu", params, "price_decays",
-                static_cast<double>(result.price_decays));
+    record("fault_lost", static_cast<double>(faults.lost));
+    record("fault_duplicated", static_cast<double>(faults.duplicated));
+    record("fault_reordered", static_cast<double>(faults.reordered));
+    record("fault_partition_drops",
+           static_cast<double>(faults.partition_drops));
+    record("fault_blackout_drops",
+           static_cast<double>(faults.blackout_rx_drops +
+                               faults.blackout_tx_suppressed));
+    record("stall_boosts", static_cast<double>(stall_boosts));
+    record("ack_keepalives", static_cast<double>(ack_keepalives));
+    record("resync_requests", static_cast<double>(resync_requests));
+    record("price_decays", static_cast<double>(price_decays));
   }
 
   bool ok = result.completed && result.data_ok;
 
   if (options.get_bool("cross-check", false)) {
     // Same topology, same coding geometry, fading off for comparability.
+    // Every session is an independent unicast of the same shape, so each is
+    // held against the one slot-simulator run.
     protocols::ProtocolConfig sim_config;
     sim_config.coding = config.node.coding;
     sim_config.mac.capacity_bytes_per_s = capacity;
@@ -829,66 +640,58 @@ int main(int argc, char** argv) {
     sim_config.seed = seed;
     protocols::OmncProtocol sim(topo, graph, sim_config, protocols::OmncConfig{});
     const protocols::SessionResult sim_result = sim.run();
-    const double ratio =
-        sim_result.throughput_bytes_per_s > 0.0
-            ? result.goodput_bytes_per_s / sim_result.throughput_bytes_per_s
-            : 0.0;
-    json.record("omnc_emu", params, "sim_goodput_bytes_per_s",
-                sim_result.throughput_bytes_per_s);
-    json.record("omnc_emu", params, "goodput_ratio", ratio);
+    const double sim_goodput = sim_result.throughput_bytes_per_s;
+    const auto ratio_of = [&](double goodput) {
+      return sim_goodput > 0.0 ? goodput / sim_goodput : 0.0;
+    };
+    const double ratio = ratio_of(goodput_mean);
+    record("sim_goodput_bytes_per_s", sim_goodput);
+    record("goodput_ratio", ratio);
+    std::printf("cross-check: sim goodput %.1f B/s (%d gens), mean emu/sim "
+                "ratio %.3f",
+                sim_goodput, sim_result.generations_completed, ratio);
 
     if (config.clock_mode == vtime::ClockMode::kDeterministic) {
       // Deterministic runs owe more than a tolerance band: a second run on
-      // a pristine transport stack must reproduce the first bit for bit.
+      // a pristine transport stack must reproduce the first field for field.
       // The sim ratio stays informational (the slot MAC and the emulated
       // channel are different processes; equality there is not expected).
       TransportBundle replay_bundle = make_transport();
-      emu::EmuHarness replay(graph, *replay_bundle.transport, config);
-      if (options.get_bool("oracle-rates", false)) {
-        replay.install_rates(rates);
-      } else {
-        replay.install_price_table(rates, rc.lambda, rc.beta, rc.iterations);
-      }
-      const emu::EmuRunResult second = replay.run();
-      const bool exact =
-          second.completed == result.completed &&
-          second.data_ok == result.data_ok &&
-          second.generations_completed == result.generations_completed &&
-          second.goodput_bytes_per_s == result.goodput_bytes_per_s &&
-          second.last_ack_time == result.last_ack_time &&
-          second.mean_ack_latency == result.mean_ack_latency &&
-          second.ack_latencies == result.ack_latencies &&
-          second.data_packets_sent == result.data_packets_sent &&
-          second.transport.frames_sent == result.transport.frames_sent &&
-          second.transport.copies_delivered ==
-              result.transport.copies_delivered &&
-          second.transport.copies_dropped == result.transport.copies_dropped;
-      std::printf("cross-check: sim goodput %.1f B/s (%d gens), emu/sim "
-                  "ratio %.3f (informational); deterministic replay %s\n",
-                  sim_result.throughput_bytes_per_s,
-                  sim_result.generations_completed, ratio,
+      const emu::MuxRunResult second =
+          make_mux(*replay_bundle.transport)->run();
+      const bool exact = second == result;
+      std::printf(" (informational); deterministic replay %s\n",
                   exact ? "EXACT" : "DIVERGED");
       if (!exact) {
-        std::printf("replay divergence: goodput %.17g vs %.17g, gens %d vs "
-                    "%d, frames %zu vs %zu\n",
-                    result.goodput_bytes_per_s, second.goodput_bytes_per_s,
-                    result.generations_completed,
-                    second.generations_completed,
+        std::printf("replay divergence: frames %zu vs %zu\n",
                     result.transport.frames_sent,
                     second.transport.frames_sent);
+        for (std::size_t s = 0; s < result.sessions.size(); ++s) {
+          const emu::EmuRunResult& a = result.sessions[s];
+          const emu::EmuRunResult& b = second.sessions[s];
+          if (a == b) continue;
+          std::printf("  session %u: goodput %.17g vs %.17g, gens %d vs %d\n",
+                      mux->session_id_of(static_cast<int>(s)),
+                      a.goodput_bytes_per_s, b.goodput_bytes_per_s,
+                      a.generations_completed, b.generations_completed);
+        }
       }
-      json.record("omnc_emu", params, "replay_exact", exact ? 1.0 : 0.0);
+      record("replay_exact", exact ? 1.0 : 0.0);
       ok = ok && exact;
     } else {
       const double tol_lo = options.get_double("tol-lo", 0.2);
       const double tol_hi = options.get_double("tol-hi", 3.5);
-      const bool within = ratio >= tol_lo && ratio <= tol_hi;
-      std::printf("cross-check: sim goodput %.1f B/s (%d gens), emu/sim "
-                  "ratio %.3f, tolerance [%.2f, %.2f] — %s\n",
-                  sim_result.throughput_bytes_per_s,
-                  sim_result.generations_completed, ratio, tol_lo, tol_hi,
-                  within ? "ok" : "OUT OF TOLERANCE");
-      ok = ok && within;
+      int within = 0;
+      for (const emu::EmuRunResult& session : result.sessions) {
+        const double session_ratio = ratio_of(session.goodput_bytes_per_s);
+        if (session_ratio >= tol_lo && session_ratio <= tol_hi) ++within;
+      }
+      const bool all_within = within == sessions;
+      std::printf(", %d/%d sessions inside [%.2f, %.2f] — %s\n", within,
+                  sessions, tol_lo, tol_hi,
+                  all_within ? "ok" : "OUT OF TOLERANCE");
+      record("sessions_within_tolerance", static_cast<double>(within));
+      ok = ok && all_within;
     }
   }
 
