@@ -252,10 +252,17 @@ void SessionMux::dispatch(double now, int node, int from,
 
 void SessionMux::drain_and_step(double now, int node, bool drain) {
   if (drain) {
-    transport_.poll(node,
-                    [&](int from, std::span<const std::uint8_t> bytes) {
-                      dispatch(now, node, from, bytes);
-                    });
+    // The handler captures one pointer, so std::function keeps it inline
+    // instead of allocating on every poll (most polls find nothing).
+    struct Target {
+      SessionMux* mux;
+      double now;
+      int node;
+    } target{this, now, node};
+    transport_.poll(node, [t = &target](int from,
+                                        std::span<const std::uint8_t> bytes) {
+      t->mux->dispatch(t->now, t->node, from, bytes);
+    });
   }
   for (auto& session_nodes : nodes_) {
     session_nodes[static_cast<std::size_t>(node)]->step_local(now);

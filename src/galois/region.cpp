@@ -1294,6 +1294,9 @@ void region_mul_backend(Backend backend, std::uint8_t* dst,
                         const std::uint8_t* src, std::uint8_t c,
                         std::size_t n) {
   count_mul(1, n);
+  // Every backend's c == 0 / c == 1 fast path is a memset/memmove, which
+  // must not see the null pointer an empty region may carry.
+  if (n == 0) return;
   switch (backend) {
     case Backend::kScalarTable:
       scalar_mul(dst, src, c, n);

@@ -76,7 +76,9 @@ void SessionResultSink::on_event(const MetricEvent& event) {
     case MetricEvent::Type::kEmuFaultDup:
     case MetricEvent::Type::kEmuFaultPartition:
     case MetricEvent::Type::kEmuFaultBlackout:
-      break;  // emulation transport detail; aggregated by trace_inspect
+    case MetricEvent::Type::kEmuResync:
+    case MetricEvent::Type::kEmuStall:
+      break;  // emulation detail; aggregated by trace_inspect
   }
 }
 

@@ -263,15 +263,6 @@ bool parse_header(std::span<const std::uint8_t> bytes, Header* out) {
 
 }  // namespace
 
-std::uint32_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
-}
-
 std::vector<std::uint8_t> Frame::serialize() const {
   std::vector<std::uint8_t> out;
   serialize_into(&out);
@@ -294,7 +285,7 @@ void Frame::serialize_into(std::vector<std::uint8_t>* out) const {
   append_body(*this, *out);
   OMNC_ASSERT(out->size() == kHeaderBytes + body_bytes);
   const std::uint32_t sum =
-      fnv1a(std::span<const std::uint8_t>(*out).subspan(kTraceTagOffset));
+      crc32c(std::span<const std::uint8_t>(*out).subspan(kTraceTagOffset));
   (*out)[14] = static_cast<std::uint8_t>(sum >> 24);
   (*out)[15] = static_cast<std::uint8_t>(sum >> 16);
   (*out)[16] = static_cast<std::uint8_t>(sum >> 8);
@@ -304,7 +295,7 @@ void Frame::serialize_into(std::vector<std::uint8_t>* out) const {
 bool Frame::parse(std::span<const std::uint8_t> bytes, Frame* out) {
   Header header;
   if (!parse_header(bytes, &header)) return false;
-  if (header.checksum != fnv1a(bytes.subspan(kTraceTagOffset))) return false;
+  if (header.checksum != crc32c(bytes.subspan(kTraceTagOffset))) return false;
   Frame frame;
   frame.type = header.type;
   frame.session_id = header.session_id;
@@ -325,7 +316,7 @@ bool DataFrameView::parse(std::span<const std::uint8_t> bytes,
       header.type != FrameType::kCodedDataCompact) {
     return false;
   }
-  if (header.checksum != fnv1a(bytes.subspan(kTraceTagOffset))) return false;
+  if (header.checksum != crc32c(bytes.subspan(kTraceTagOffset))) return false;
   DataFrameView view;
   view.session_id = header.session_id;
   view.trace_origin = header.trace_origin;

@@ -23,14 +23,15 @@
 //   5      1     frame type (FrameType)
 //   6      4     session id
 //   10     4     payload length (bytes following the header)
-//   14     4     FNV-1a-32 checksum of bytes 18..end (trace tag + payload)
+//   14     4     CRC32C checksum of bytes 18..end (trace tag + payload)
 //   18     2     trace origin — session-local index of the node that created
 //                the frame's span (obs/span.h)
 //   20     4     trace sequence — per-origin counter; 0 marks an untraced
 //                frame, so (origin, seq) = (0, 0) is the null span id
 //
-// Only version 2 parses; frames of any other version (including the retired
-// 18-byte version-1 header) are rejected like any other malformed header.
+// Only version 3 parses; frames of any other version (the FNV-1a-checksummed
+// version 2, the retired 18-byte version-1 header) are rejected like any
+// other malformed header.
 //
 // Parsers are hardened: truncated buffers, inconsistent length fields,
 // corrupted checksums, unknown types/versions, and garbage bytes all return
@@ -47,7 +48,7 @@
 namespace omnc::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4F4D4E43;  // "OMNC"
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 
 /// Fixed bytes before the payload of every frame.
 inline constexpr std::size_t kHeaderBytes = 24;
@@ -78,8 +79,9 @@ enum class FrameType : std::uint8_t {
   kCodedDataCompact = 8,
 };
 
-/// FNV-1a 32-bit over a byte range (the header checksum).
-std::uint32_t fnv1a(std::span<const std::uint8_t> bytes);
+/// CRC32C (Castagnoli) over a byte range: the header checksum.  Detects
+/// every burst error of up to 32 bits.
+std::uint32_t crc32c(std::span<const std::uint8_t> bytes);
 
 /// Destination -> source decode confirmation for one generation, flooded
 /// back over the session DAG.  `ack_seq` counts retransmissions of the same

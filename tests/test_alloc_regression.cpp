@@ -6,9 +6,12 @@
 // versions; each test drives one full generation inside a counting window
 // and pins the delta to zero, so any future per-packet allocation (a stray
 // copy, a vector that re-grows, a debug string) fails loudly instead of
-// silently eroding the zero-copy pipeline.
+// silently eroding the zero-copy pipeline.  The session mux's poll loop is
+// held to the same rule: a run's allocation count must not grow with the
+// number of (mostly empty) polls it makes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -21,6 +24,10 @@
 #include "coding/generation.h"
 #include "coding/recoder.h"
 #include "common/rng.h"
+#include "emu/loopback_transport.h"
+#include "emu/session_mux.h"
+#include "net/topology.h"
+#include "routing/node_selection.h"
 #include "wire/frame.h"
 
 namespace {
@@ -187,6 +194,49 @@ TEST(AllocRegression, SteadyStateRelayPathIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state offer -> recode_into -> serialize_into must not "
          "allocate";
+}
+
+/// Heap allocations made by mux.run() for one det-clock, one-session mux
+/// on the diamond, run to `horizon_s` virtual seconds over a loopback whose
+/// links all have p = 0: every frame is lost, so every poll finds an empty
+/// inbox and the session never completes.
+std::size_t silent_mux_run_allocations(double horizon_s) {
+  const net::Topology topo = net::Topology::from_link_matrix({
+      {0.0, 0.8, 0.6, 0.0},
+      {0.8, 0.0, 0.0, 0.7},
+      {0.6, 0.0, 0.0, 0.9},
+      {0.0, 0.7, 0.9, 0.0},
+  });
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  // The diamond's link matrix with every p set to 0: nothing is delivered.
+  std::vector<double> silent = emu::link_matrix_from_topology(topo, graph);
+  std::fill(silent.begin(), silent.end(), 0.0);
+  emu::LoopbackTransport transport(graph.size(), std::move(silent));
+  emu::MuxConfig config;
+  config.emu.node.coding = coding::CodingParams{8, 64};
+  config.emu.node.max_generations = 1;
+  config.emu.clock_mode = vtime::ClockMode::kDeterministic;
+  config.emu.virtual_timeout_s = horizon_s;
+  config.sessions = 1;
+  emu::SessionMux mux(graph, transport, config);
+  mux.install_rates(std::vector<double>(graph.size(), 1e4));
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const emu::MuxRunResult result = mux.run();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.transport.copies_delivered, 0u);
+  return after - before;
+}
+
+TEST(AllocRegression, MuxPollLoopAllocationsDoNotGrowWithRunLength) {
+  // Doubling the horizon doubles the polls; the poll handler must fit
+  // std::function's inline buffer, so the count stays flat.
+  const std::size_t short_run = silent_mux_run_allocations(20.0);
+  const std::size_t long_run = silent_mux_run_allocations(40.0);
+  EXPECT_LE(long_run, short_run)
+      << "a 40 s run allocated more than a 20 s one: something in the "
+         "mux poll loop allocates per tick";
 }
 
 }  // namespace

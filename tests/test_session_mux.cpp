@@ -196,7 +196,7 @@ std::vector<std::uint8_t> as_version1(const wire::Frame& frame) {
   bytes.erase(bytes.begin() + wire::kTraceTagOffset,
               bytes.begin() + wire::kHeaderBytes);
   bytes[4] = 1;
-  const std::uint32_t sum = wire::fnv1a(
+  const std::uint32_t sum = wire::crc32c(
       std::span<const std::uint8_t>(bytes).subspan(wire::kTraceTagOffset));
   for (int i = 0; i < 4; ++i) {
     bytes[14 + i] = static_cast<std::uint8_t>(sum >> (24 - 8 * i));
@@ -259,9 +259,9 @@ TEST(SessionMuxDemux, ClassifyRejectsHeaderEmbeddedDisagreement) {
 TEST(SessionMuxDemux, UnknownAndMismatchedFramesNeverReachARuntime) {
   // Inject hostile frames straight onto the shared channel before the run:
   // a well-formed data frame for a session the mux does not host, a
-  // header/embedded disagreement, and a version-1 frame for a hosted
-  // session.  All must land in the demux counters while every real session
-  // still completes untouched.
+  // header/embedded disagreement, and version-1 and version-2 frames for a
+  // hosted session.  All must land in the demux counters while every real
+  // session still completes untouched.
   const net::Topology topo = lossless_diamond();
   const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
   const std::unique_ptr<LoopbackTransport> transport =
@@ -277,6 +277,10 @@ TEST(SessionMuxDemux, UnknownAndMismatchedFramesNeverReachARuntime) {
   forged.session_id = 2;  // header claims session 2, body says 1
   transport->send(0, forged.serialize());
   transport->send(0, as_version1(wire::make_coded_data(sample_packet(1))));
+  std::vector<std::uint8_t> version2 =
+      wire::make_coded_data(sample_packet(1)).serialize();
+  version2[4] = 2;  // v2 differs from v3 only in its checksum function
+  transport->send(0, version2);
 
   const MuxRunResult result = mux.run();
   EXPECT_TRUE(result.completed);
@@ -286,7 +290,7 @@ TEST(SessionMuxDemux, UnknownAndMismatchedFramesNeverReachARuntime) {
   // counters are lower-bounded, not pinned.
   EXPECT_GE(result.demux_unknown_session, 1u);
   EXPECT_GE(result.demux_session_mismatch, 1u);
-  EXPECT_GE(result.demux_unroutable, 1u);  // the retired wire version
+  EXPECT_GE(result.demux_unroutable, 2u);  // the retired wire versions
 }
 
 TEST(SessionMux, SessionIdsAndSeedsAreDerivedFromTheTemplate) {

@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "coding/coded_packet.h"
 #include "common/rng.h"
+#include "wire/crc32c_paths.h"
 #include "wire/frame.h"
 
 namespace omnc {
@@ -162,33 +164,45 @@ TEST(WireFrameHostile, RejectsEmptyAndShortBuffers) {
 }
 
 TEST(WireFrameHostile, RejectsVersion1Frames) {
-  // The retired version-1 layout: the 18-byte header without the trace tag,
-  // checksummed over the payload alone.  No producer emits it anymore, so a
-  // v1 frame is as malformed as any other bad header — the full parsers and
-  // every peek refuse it.
-  std::vector<std::uint8_t> bytes =
+  // Retired versions are as malformed as any other bad header: the full
+  // parsers and every peek refuse them, so no runtime ever sees one.
+  const auto expect_rejected = [](const std::vector<std::uint8_t>& bytes,
+                                  const char* label) {
+    wire::Frame frame;
+    EXPECT_FALSE(wire::Frame::parse(bytes, &frame)) << label;
+    wire::DataFrameView view;
+    EXPECT_FALSE(wire::DataFrameView::parse(bytes, &view)) << label;
+    wire::FrameType type;
+    EXPECT_FALSE(wire::peek_type(bytes, &type)) << label;
+    std::uint32_t value = 0;
+    EXPECT_FALSE(wire::peek_session(bytes, &value)) << label;
+    EXPECT_FALSE(wire::peek_generation(bytes, &value)) << label;
+    EXPECT_FALSE(wire::peek_data_session(bytes, &value)) << label;
+    std::uint16_t origin = 0;
+    EXPECT_FALSE(wire::peek_trace(bytes, &origin, &value)) << label;
+  };
+  const std::vector<std::uint8_t> current =
       wire::make_coded_data(sample_packet()).serialize();
-  bytes.erase(bytes.begin() + wire::kTraceTagOffset,
-              bytes.begin() + wire::kHeaderBytes);
-  bytes[4] = 1;
-  const std::uint32_t sum = wire::fnv1a(
-      std::span<const std::uint8_t>(bytes).subspan(wire::kTraceTagOffset));
-  for (int i = 0; i < 4; ++i) {
-    bytes[14 + i] = static_cast<std::uint8_t>(sum >> (24 - 8 * i));
-  }
 
-  wire::Frame frame;
-  EXPECT_FALSE(wire::Frame::parse(bytes, &frame));
-  wire::DataFrameView view;
-  EXPECT_FALSE(wire::DataFrameView::parse(bytes, &view));
-  wire::FrameType type;
-  EXPECT_FALSE(wire::peek_type(bytes, &type));
-  std::uint32_t value = 0;
-  EXPECT_FALSE(wire::peek_session(bytes, &value));
-  EXPECT_FALSE(wire::peek_generation(bytes, &value));
-  EXPECT_FALSE(wire::peek_data_session(bytes, &value));
-  std::uint16_t origin = 0;
-  EXPECT_FALSE(wire::peek_trace(bytes, &origin, &value));
+  // Version 1: the 18-byte header without the trace tag, checksummed over
+  // the payload alone.
+  std::vector<std::uint8_t> v1 = current;
+  v1.erase(v1.begin() + wire::kTraceTagOffset,
+           v1.begin() + wire::kHeaderBytes);
+  v1[4] = 1;
+  const std::uint32_t sum = wire::crc32c(
+      std::span<const std::uint8_t>(v1).subspan(wire::kTraceTagOffset));
+  for (int i = 0; i < 4; ++i) {
+    v1[14 + i] = static_cast<std::uint8_t>(sum >> (24 - 8 * i));
+  }
+  expect_rejected(v1, "version 1");
+
+  // Version 2: today's layout under an FNV-1a checksum.  The version byte
+  // sits outside the checksummed range, so this frame's checksum is still
+  // valid: the version byte alone must reject it.
+  std::vector<std::uint8_t> v2 = current;
+  v2[4] = 2;
+  expect_rejected(v2, "version 2");
 }
 
 TEST(WireFrameHostile, RejectsTrailingBytes) {
@@ -210,9 +224,11 @@ TEST(WireFrameHostile, RejectsBadMagicVersionAndType) {
   };
   EXPECT_FALSE(mutate(0, 0x00));  // magic
   EXPECT_FALSE(mutate(4, 0x00));  // version below range
-  EXPECT_FALSE(mutate(4, 0x03));  // unknown future version
+  EXPECT_FALSE(mutate(4, 0x02));  // retired FNV-1a version
+  EXPECT_FALSE(mutate(4, 0x04));  // unknown future version
   EXPECT_FALSE(mutate(5, 0x00));  // type below range
-  EXPECT_FALSE(mutate(5, 0x08));  // type above range (7 = kResyncInfo is top)
+  EXPECT_FALSE(mutate(5, 0x09));  // type above range (8 = kCodedDataCompact
+                                  // is top)
   EXPECT_FALSE(mutate(5, 0xff));
   // 0x06/0x07 are valid types now, but the ACK body size does not fit them.
   EXPECT_FALSE(mutate(5, 0x06));
@@ -221,7 +237,7 @@ TEST(WireFrameHostile, RejectsBadMagicVersionAndType) {
 
 TEST(WireFrameHostile, RejectsEveryCorruptedByte) {
   // Any single-byte corruption must be caught: header fields by their own
-  // validation, payload bytes by the FNV-1a checksum.
+  // validation, payload bytes by the CRC32C checksum.
   const std::vector<std::uint8_t> good =
       wire::make_price(3, wire::PriceUpdate{1, 2, 0.5, 100.0, {{2, 0.25}}})
           .serialize();
@@ -284,8 +300,8 @@ TEST(WireFrameHostile, RejectsPriceCountMismatch) {
   // body validation).
   const std::size_t count_at = wire::kHeaderBytes + 22;
   bytes[count_at + 1] = 3;
-  // The v2 checksum covers the trace tag and the payload.
-  const std::uint32_t checksum = wire::fnv1a(
+  // The checksum covers the trace tag and the payload.
+  const std::uint32_t checksum = wire::crc32c(
       std::span<const std::uint8_t>(bytes).subspan(wire::kTraceTagOffset));
   bytes[14] = static_cast<std::uint8_t>(checksum >> 24);
   bytes[15] = static_cast<std::uint8_t>(checksum >> 16);
@@ -441,6 +457,101 @@ TEST(WireFrameHostile, SurvivesMutatedValidFrames) {
     }
     (void)wire::Frame::parse(bytes, &out);
   }
+}
+
+// ---- CRC32C checksum -----------------------------------------------------
+
+std::uint32_t crc_of(const std::vector<std::uint8_t>& bytes) {
+  return wire::crc32c(bytes);
+}
+
+TEST(Crc32c, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc_of({check.begin(), check.end()}), 0xE3069283u);
+  EXPECT_EQ(wire::crc32c({}), 0u);
+  // RFC 3720 (iSCSI) appendix B.4.
+  EXPECT_EQ(crc_of(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(crc_of(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(crc_of(ascending), 0x46DD794Eu);
+}
+
+TEST(Crc32c, HardwareAndTablePathsAgree) {
+  // Every length through a jumbo frame, at every alignment of the start:
+  // covers each path's 8-byte main loop and its 0..7-byte tail.
+  constexpr std::size_t kMaxLength = 2100;
+  Rng rng(0xc5c3u);
+  std::vector<std::uint8_t> buffer(kMaxLength + 8);
+  for (auto& b : buffer) b = rng.next_byte();
+  const bool hardware = wire::crc32c_paths::hardware_supported();
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset,
+                                                length);
+      const std::uint32_t table = wire::crc32c_paths::table(bytes);
+      ASSERT_EQ(wire::crc32c(bytes), table)
+          << "offset " << offset << " length " << length;
+      if (hardware) {
+        ASSERT_EQ(wire::crc32c_paths::hardware(bytes), table)
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
+  if (!hardware) GTEST_SKIP() << "no SSE4.2 crc32: only the table path ran";
+}
+
+TEST(Crc32c, DataFrameViewRejectsEveryBurstUpTo32Bits) {
+  // A paper-geometry (40 x 1 KB) data frame.  Bursts run in the CRC's own
+  // bit order (least significant bit of each byte first), the order in
+  // which CRC32C detects every burst of up to 32 bits.  Header fields
+  // outside the checksum are caught by their own validation.
+  coding::CodedPacket packet;
+  packet.session_id = 7;
+  packet.generation_id = 3;
+  packet.generation_blocks = 40;
+  packet.block_bytes = 1024;
+  Rng rng(0xb0b5u);
+  packet.coefficients.resize(packet.generation_blocks);
+  for (auto& c : packet.coefficients) c = rng.next_byte();
+  packet.payload.resize(packet.block_bytes);
+  for (auto& b : packet.payload) b = rng.next_byte();
+  wire::Frame frame = wire::make_coded_data(packet);
+  frame.trace_origin = 2;
+  frame.trace_seq = 17;
+  std::vector<std::uint8_t> bytes = frame.serialize();
+  wire::DataFrameView view;
+  ASSERT_TRUE(wire::DataFrameView::parse(bytes, &view));
+
+  const std::size_t bits = bytes.size() * 8;
+  const auto flip = [&](std::size_t bit) {
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  };
+  std::size_t accepted = 0;
+  for (std::size_t length = 1; length <= 32; ++length) {
+    for (std::size_t start = 0; start + length <= bits; ++start) {
+      // The burst's first and last bits always flip; the interior is all
+      // ones or a random pattern (applying a pattern twice restores it).
+      const auto interior = static_cast<std::uint32_t>(rng.next_u64());
+      for (const bool solid : {true, false}) {
+        const auto apply = [&] {
+          for (std::size_t k = 0; k < length; ++k) {
+            const bool edge = k == 0 || k + 1 == length;
+            if (solid || edge || ((interior >> k) & 1u) != 0) {
+              flip(start + k);
+            }
+          }
+        };
+        apply();
+        if (wire::DataFrameView::parse(bytes, &view)) ++accepted;
+        apply();
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_TRUE(wire::DataFrameView::parse(bytes, &view));
 }
 
 // ---- CodedPacket::parse audit -------------------------------------------

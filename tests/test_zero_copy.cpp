@@ -144,7 +144,7 @@ TEST(DataFrameView, RejectsEmbeddedSessionMismatch) {
   // low byte at offset header+3) and re-stamp a valid checksum, so the
   // session cross-check is the only thing left to catch it.
   bytes[wire::kHeaderBytes + 3] ^= 0x01;
-  const std::uint32_t sum = wire::fnv1a(std::span<const std::uint8_t>(
+  const std::uint32_t sum = wire::crc32c(std::span<const std::uint8_t>(
       bytes.data() + wire::kTraceTagOffset,
       bytes.size() - wire::kTraceTagOffset));
   bytes[14] = static_cast<std::uint8_t>(sum >> 24);
