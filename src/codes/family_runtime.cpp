@@ -83,6 +83,11 @@ void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
   }
 }
 
+void FamilyEncoder::rewind() {
+  next_uncoded_ = 0;
+  band_seq_ = 0;
+}
+
 // --- FamilyRecoder ---------------------------------------------------------
 
 FamilyRecoder::FamilyRecoder(const coding::CodingParams& params,

@@ -58,6 +58,11 @@ class FamilyEncoder {
   void next_packet_into(Rng& rng, coding::CodedPacket* out,
                         coding::CodedStructure* structure);
 
+  /// Restarts the emission sequence (the systematic originals, the banded
+  /// window cycle) after the caller refilled the borrowed generation in
+  /// place: the next packets are those a fresh encoder would emit.
+  void rewind();
+
   std::uint32_t generation_id() const { return dense_.generation_id(); }
   const CodeSpec& spec() const { return spec_; }
 

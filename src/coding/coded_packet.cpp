@@ -2,53 +2,49 @@
 
 #include <cstring>
 
+#include "common/assert.h"
+#include "common/byte_order.h"
+
 namespace omnc::coding {
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
+/// Copies `bytes` to `p` in one memcpy (skipped when empty: an empty
+/// vector's data() may be null) and returns the next write position.
+std::uint8_t* put_bytes(std::uint8_t* p, std::span<const std::uint8_t> bytes) {
+  if (!bytes.empty()) std::memcpy(p, bytes.data(), bytes.size());
+  return p + bytes.size();
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
+/// The 12-byte header shared by the dense and compact encodings.
+void put_header(std::uint8_t* p, const CodedPacket& packet) {
+  store_be32(p, packet.session_id);
+  store_be32(p + 4, packet.generation_id);
+  store_be16(p + 8, packet.generation_blocks);
+  store_be16(p + 10, packet.block_bytes);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> CodedPacket::serialize() const {
-  std::vector<std::uint8_t> wire;
-  wire.reserve(wire_size());
-  put_u32(wire, session_id);
-  put_u32(wire, generation_id);
-  put_u16(wire, generation_blocks);
-  put_u16(wire, block_bytes);
-  wire.insert(wire.end(), coefficients.begin(), coefficients.end());
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  std::vector<std::uint8_t> wire(wire_size());
+  serialize_to(wire);
   return wire;
+}
+
+void CodedPacket::serialize_to(std::span<std::uint8_t> out) const {
+  OMNC_ASSERT(out.size() == wire_size());
+  put_header(out.data(), *this);
+  put_bytes(put_bytes(out.data() + kHeaderBytes, coefficients), payload);
 }
 
 bool CodedPacketView::parse(std::span<const std::uint8_t> wire,
                             CodedPacketView* out) {
   if (wire.size() < CodedPacket::kHeaderBytes) return false;
   CodedPacketView view;
-  view.session_id = get_u32(wire.data());
-  view.generation_id = get_u32(wire.data() + 4);
-  view.generation_blocks = get_u16(wire.data() + 8);
-  view.block_bytes = get_u16(wire.data() + 10);
+  view.session_id = load_be32(wire.data());
+  view.generation_id = load_be32(wire.data() + 4);
+  view.generation_blocks = load_be16(wire.data() + 8);
+  view.block_bytes = load_be16(wire.data() + 10);
   // Reject degenerate geometry before any arithmetic with the
   // attacker-controlled length fields.  The sum below cannot overflow —
   // both fields are u16, widened to size_t — but hostile headers should
@@ -146,25 +142,28 @@ std::size_t compact_wire_size(const CodedStructure& structure,
 
 bool serialize_compact(const CodedPacket& packet,
                        const CodedStructure& structure,
-                       std::vector<std::uint8_t>& out) {
+                       std::span<std::uint8_t> out) {
   if (structure.dense()) return false;
   if (!structure.valid_for(packet.generation_blocks)) return false;
   if (packet.coefficients.size() != packet.generation_blocks) return false;
-  put_u32(out, packet.session_id);
-  put_u32(out, packet.generation_id);
-  put_u16(out, packet.generation_blocks);
-  put_u16(out, packet.block_bytes);
-  out.push_back(static_cast<std::uint8_t>(structure.kind));
+  // Sized by the payload the packet holds, as the dense wire_size() is.
+  OMNC_ASSERT(out.size() ==
+              compact_wire_size(structure, 0) + packet.payload.size());
+  std::uint8_t* p = out.data();
+  put_header(p, packet);
+  p += CodedPacket::kHeaderBytes;
+  p[0] = static_cast<std::uint8_t>(structure.kind);
+  std::span<const std::uint8_t> coeffs;
   if (structure.kind == CodedStructure::Kind::kUncoded) {
-    put_u16(out, structure.index);
+    store_be16(p + 1, structure.index);
   } else {
-    put_u16(out, structure.offset);
-    put_u16(out, structure.width);
-    out.insert(out.end(), packet.coefficients.begin() + structure.offset,
-               packet.coefficients.begin() + structure.offset +
-                   structure.width);
+    store_be16(p + 1, structure.offset);
+    store_be16(p + 3, structure.width);
+    coeffs = std::span<const std::uint8_t>(packet.coefficients)
+                 .subspan(structure.offset, structure.width);
   }
-  out.insert(out.end(), packet.payload.begin(), packet.payload.end());
+  p += structure_header_bytes(structure);
+  put_bytes(put_bytes(p, coeffs), packet.payload);
   return true;
 }
 
@@ -172,10 +171,10 @@ bool parse_compact(std::span<const std::uint8_t> wire, CodedPacketView* view,
                    CodedStructure* structure) {
   if (wire.size() < CodedPacket::kHeaderBytes + 3) return false;
   CodedPacketView v;
-  v.session_id = get_u32(wire.data());
-  v.generation_id = get_u32(wire.data() + 4);
-  v.generation_blocks = get_u16(wire.data() + 8);
-  v.block_bytes = get_u16(wire.data() + 10);
+  v.session_id = load_be32(wire.data());
+  v.generation_id = load_be32(wire.data() + 4);
+  v.generation_blocks = load_be16(wire.data() + 8);
+  v.block_bytes = load_be16(wire.data() + 10);
   if (v.generation_blocks == 0 || v.block_bytes == 0) return false;
   CodedStructure s;
   const std::uint8_t kind = wire[CodedPacket::kHeaderBytes];
@@ -183,14 +182,14 @@ bool parse_compact(std::span<const std::uint8_t> wire, CodedPacketView* view,
   if (kind == static_cast<std::uint8_t>(CodedStructure::Kind::kUncoded)) {
     s.kind = CodedStructure::Kind::kUncoded;
     if (wire.size() < cursor + 2) return false;
-    s.index = get_u16(wire.data() + cursor);
+    s.index = load_be16(wire.data() + cursor);
     cursor += 2;
     v.coefficients = {};
   } else if (kind == static_cast<std::uint8_t>(CodedStructure::Kind::kWindow)) {
     s.kind = CodedStructure::Kind::kWindow;
     if (wire.size() < cursor + 4) return false;
-    s.offset = get_u16(wire.data() + cursor);
-    s.width = get_u16(wire.data() + cursor + 2);
+    s.offset = load_be16(wire.data() + cursor);
+    s.width = load_be16(wire.data() + cursor + 2);
     cursor += 4;
     if (wire.size() < cursor + s.width) return false;
     v.coefficients = wire.subspan(cursor, s.width);

@@ -106,6 +106,11 @@ struct CodedPacket {
 
   std::vector<std::uint8_t> serialize() const;
 
+  /// Writes the serialize() bytes into `out`, which must hold exactly
+  /// wire_size() bytes: fixed-offset header stores, then one copy each for
+  /// the coefficients and the payload.
+  void serialize_to(std::span<std::uint8_t> out) const;
+
   /// Non-owning view over this packet's own storage (same lifetime rules as
   /// a parsed view: valid while the packet is alive and unmodified).
   CodedPacketView as_view() const;
@@ -121,12 +126,15 @@ struct CodedPacket {
 std::size_t compact_wire_size(const CodedStructure& structure,
                               std::uint16_t block_bytes);
 
-/// Appends the compact encoding of `packet` (whose coefficients are dense in
-/// memory) under `structure` to `out`.  Returns false — appending nothing —
-/// if the structure is dense or inconsistent with the packet's geometry.
+/// Writes the compact encoding of `packet` (whose coefficients are dense in
+/// memory) under `structure` into `out`, which must hold exactly the
+/// encoding (compact_wire_size(structure, packet.block_bytes) bytes for a
+/// packet whose payload is block_bytes long).  Returns false — writing
+/// nothing — if the structure is dense or inconsistent with the packet's
+/// geometry.
 bool serialize_compact(const CodedPacket& packet,
                        const CodedStructure& structure,
-                       std::vector<std::uint8_t>& out);
+                       std::span<std::uint8_t> out);
 
 /// Parses a compact encoding.  On success the view's `coefficients` span
 /// holds only the explicit window bytes (empty for an uncoded original) —

@@ -23,6 +23,12 @@ struct CodingParams {
   bool operator==(const CodingParams&) const = default;
 };
 
+/// True iff `bytes` equals the first bytes.size() bytes of the synthetic
+/// stream of (id, seed) (see Generation::synthetic) — the destination's
+/// end-to-end check, made without materializing the expected generation.
+bool matches_synthetic(std::uint32_t id, std::uint64_t seed,
+                       std::span<const std::uint8_t> bytes);
+
 /// One generation of source data (the matrix B).
 class Generation {
  public:
@@ -33,10 +39,18 @@ class Generation {
   static Generation from_bytes(std::uint32_t id, const CodingParams& params,
                                std::span<const std::uint8_t> bytes);
 
-  /// A generation filled with deterministic pseudo-random payload; used by
-  /// simulations that only care about byte counts.
+  /// A generation filled with the synthetic payload stream of (id, seed);
+  /// used by simulations that only care about byte counts.  Byte 8k + j of
+  /// the stream is bits 8j..8j+7 of the k-th next_u64() of an Rng seeded
+  /// from (seed, id), so one draw yields eight bytes; a final partial word
+  /// contributes its low bytes.  The byte order is fixed by shifts, so every
+  /// host produces the same stream.
   static Generation synthetic(std::uint32_t id, const CodingParams& params,
                               std::uint64_t seed);
+
+  /// Turns this generation into synthetic(id, params(), seed) in place,
+  /// reusing its storage (the source's per-generation turnover).
+  void refill_synthetic(std::uint32_t id, std::uint64_t seed);
 
   std::uint32_t id() const { return id_; }
   const CodingParams& params() const { return params_; }

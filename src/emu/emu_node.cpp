@@ -456,18 +456,14 @@ void EmuNode::handle_data(double now, int from,
                   runtime_.rank(), {}, outcome.pivot, outcome.uncoded);
       }
       if (!outcome.generation_complete) break;
-      // Decode finished: verify the plaintext against the source's
-      // deterministic payload, then start the ACK flood.  recover_into
+      // Decode finished: check the plaintext byte for byte against the
+      // source's synthetic stream, then start the ACK flood.  recover_into
       // reuses the node's scratch buffer (its capacity persists across
       // generations — the geometry is fixed per session).
       recover_buf_.resize(runtime_.recovered_size());
       runtime_.recover_into(std::span<std::uint8_t>(recover_buf_));
-      const coding::Generation expected = coding::Generation::synthetic(
-          gen, config_.coding, config_.data_seed);
-      const std::span<const std::uint8_t> want = expected.bytes();
-      if (recover_buf_.size() != want.size() ||
-          !std::equal(recover_buf_.begin(), recover_buf_.end(),
-                      want.begin())) {
+      if (recover_buf_.size() != config_.coding.generation_bytes() ||
+          !coding::matches_synthetic(gen, config_.data_seed, recover_buf_)) {
         stats_.data_ok = false;
       }
       ++stats_.generations_completed;

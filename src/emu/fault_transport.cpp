@@ -398,76 +398,97 @@ void FaultTransport::send(int from, std::span<const std::uint8_t> frame) {
   inner_.send(from, frame);
 }
 
+std::size_t FaultTransport::admit(int from, int to,
+                                  std::span<const std::uint8_t> bytes,
+                                  double t, bool rx_dead,
+                                  const Handler& handler) {
+  const int n = inner_.nodes();
+  LinkState& link = links_[static_cast<std::size_t>(from) * n + to];
+  const std::uint64_t copy = link.copies++;
+  // Fixed draw order per copy (GE transition, GE loss, duplicate, reorder,
+  // jitter), so the stream position depends only on (seed, link, copy) —
+  // time-windowed outcomes below never shift it.
+  bool ge_loss = false;
+  bool dup = false;
+  bool reorder = false;
+  double delay = 0.0;
+  if (link.configured) {
+    const LinkFault& fault = link.fault;
+    if (fault.ge.enabled()) {
+      const double flip =
+          link.bad ? fault.ge.p_bad_good : fault.ge.p_good_bad;
+      if (link.rng.chance(flip)) link.bad = !link.bad;
+      ge_loss =
+          link.rng.chance(link.bad ? fault.ge.loss_bad : fault.ge.loss_good);
+    }
+    if (fault.duplicate_p > 0.0) dup = link.rng.chance(fault.duplicate_p);
+    if (fault.reorder_p > 0.0) reorder = link.rng.chance(fault.reorder_p);
+    if (fault.jitter_s > 0.0) delay = link.rng.uniform(0.0, fault.jitter_s);
+    if (reorder) delay += fault.reorder_hold_s;
+  }
+  if (rx_dead) {
+    blackout_rx_drops_.fetch_add(1, std::memory_order_relaxed);
+    emit_fault(FaultRecord::Kind::kBlackout, from, to, bytes, copy, t);
+    return 0;
+  }
+  if (partition_cuts(from, to, t)) {
+    partition_drops_.fetch_add(1, std::memory_order_relaxed);
+    emit_fault(FaultRecord::Kind::kPartition, from, to, bytes, copy, t);
+    return 0;
+  }
+  if (ge_loss) {
+    lost_.fetch_add(1, std::memory_order_relaxed);
+    emit_fault(FaultRecord::Kind::kLoss, from, to, bytes, copy, t);
+    return 0;
+  }
+  std::size_t delivered = 0;
+  if (dup) {
+    duplicated_.fetch_add(1, std::memory_order_relaxed);
+    emit_fault(FaultRecord::Kind::kDuplicate, from, to, bytes, copy, t);
+    deliver(from, to, bytes, handler);
+    ++delivered;
+  }
+  if (reorder) {
+    reordered_.fetch_add(1, std::memory_order_relaxed);
+    emit_fault(FaultRecord::Kind::kReorder, from, to, bytes, copy, t);
+  }
+  if (delay > 0.0) {
+    Held held;
+    held.due = t + delay;
+    held.from = from;
+    held.link_copy = copy;
+    held.bytes.assign(bytes.begin(), bytes.end());
+    std::vector<Held>& queue = held_[static_cast<std::size_t>(to)];
+    const auto position = std::upper_bound(
+        queue.begin(), queue.end(), held.due,
+        [](double due, const Held& other) { return due < other.due; });
+    queue.insert(position, std::move(held));
+    return delivered;
+  }
+  deliver(from, to, bytes, handler);
+  return delivered + 1;
+}
+
 std::size_t FaultTransport::poll(int to, const Handler& handler) {
   const double t = now();
-  const int n = inner_.nodes();
   const bool rx_dead = in_blackout(to, t);
-  std::size_t count = 0;
-  inner_.poll(to, [&](int from, std::span<const std::uint8_t> bytes) {
-    LinkState& link = links_[static_cast<std::size_t>(from) * n + to];
-    const std::uint64_t copy = link.copies++;
-    // Fixed draw order per copy (GE transition, GE loss, duplicate, reorder,
-    // jitter), so the stream position depends only on (seed, link, copy) —
-    // time-windowed outcomes below never shift it.
-    bool ge_loss = false;
-    bool dup = false;
-    bool reorder = false;
-    double delay = 0.0;
-    if (link.configured) {
-      const LinkFault& fault = link.fault;
-      if (fault.ge.enabled()) {
-        const double flip =
-            link.bad ? fault.ge.p_bad_good : fault.ge.p_good_bad;
-        if (link.rng.chance(flip)) link.bad = !link.bad;
-        ge_loss =
-            link.rng.chance(link.bad ? fault.ge.loss_bad : fault.ge.loss_good);
-      }
-      if (fault.duplicate_p > 0.0) dup = link.rng.chance(fault.duplicate_p);
-      if (fault.reorder_p > 0.0) reorder = link.rng.chance(fault.reorder_p);
-      if (fault.jitter_s > 0.0) delay = link.rng.uniform(0.0, fault.jitter_s);
-      if (reorder) delay += fault.reorder_hold_s;
-    }
-    if (rx_dead) {
-      blackout_rx_drops_.fetch_add(1, std::memory_order_relaxed);
-      emit_fault(FaultRecord::Kind::kBlackout, from, to, bytes, copy, t);
-      return;
-    }
-    if (partition_cuts(from, to, t)) {
-      partition_drops_.fetch_add(1, std::memory_order_relaxed);
-      emit_fault(FaultRecord::Kind::kPartition, from, to, bytes, copy, t);
-      return;
-    }
-    if (ge_loss) {
-      lost_.fetch_add(1, std::memory_order_relaxed);
-      emit_fault(FaultRecord::Kind::kLoss, from, to, bytes, copy, t);
-      return;
-    }
-    if (dup) {
-      duplicated_.fetch_add(1, std::memory_order_relaxed);
-      emit_fault(FaultRecord::Kind::kDuplicate, from, to, bytes, copy, t);
-      deliver(from, to, bytes, handler);
-      ++count;
-    }
-    if (reorder) {
-      reordered_.fetch_add(1, std::memory_order_relaxed);
-      emit_fault(FaultRecord::Kind::kReorder, from, to, bytes, copy, t);
-    }
-    if (delay > 0.0) {
-      Held held;
-      held.due = t + delay;
-      held.from = from;
-      held.link_copy = copy;
-      held.bytes.assign(bytes.begin(), bytes.end());
-      std::vector<Held>& queue = held_[static_cast<std::size_t>(to)];
-      const auto position = std::upper_bound(
-          queue.begin(), queue.end(), held.due,
-          [](double due, const Held& other) { return due < other.due; });
-      queue.insert(position, std::move(held));
-      return;
-    }
-    deliver(from, to, bytes, handler);
-    ++count;
+  // The handler captures one pointer to this frame's state, so
+  // std::function keeps it inline instead of allocating on every poll
+  // (most polls find nothing).
+  struct Arrivals {
+    FaultTransport* self;
+    const Handler* handler;
+    double t;
+    int to;
+    bool rx_dead;
+    std::size_t count;
+  } arrivals{this, &handler, t, to, rx_dead, 0};
+  inner_.poll(to, [a = &arrivals](int from,
+                                  std::span<const std::uint8_t> bytes) {
+    a->count += a->self->admit(from, a->to, bytes, a->t, a->rx_dead,
+                               *a->handler);
   });
+  std::size_t count = arrivals.count;
   // Release copies whose jitter/reorder hold expired; a copy due during the
   // receiver's blackout dies with it.
   std::vector<Held>& queue = held_[static_cast<std::size_t>(to)];

@@ -206,6 +206,11 @@ class FaultTransport final : public Transport, private TransportObserver {
                   double t);
   void deliver(int from, int to, std::span<const std::uint8_t> bytes,
                const Handler& handler);
+  /// poll()'s per-copy filter: draws the copy's faults in the fixed order,
+  /// then drops, holds or delivers it.  Returns the copies handed to
+  /// `handler` (two for a delivered duplicate).
+  std::size_t admit(int from, int to, std::span<const std::uint8_t> bytes,
+                    double t, bool rx_dead, const Handler& handler);
 
   Transport& inner_;
   FaultPlan plan_;

@@ -835,7 +835,70 @@ __attribute__((target("avx2"))) void avx2_axpy4(
 // (GF2P8AFFINEQB could express the same constant multiply as an 8x8 bit
 // matrix; MULB needs no matrix setup and has the same throughput here.)
 // We use the VEX-256 forms, so the backend requires GFNI and AVX2.
+//
+// Tails stay at vector width: after the 32-byte loop, each kernel takes one
+// 16-byte and one 8-byte step (the VEX-128 form on the low lane of the
+// constant), leaving at most 7 bytes for the scalar table loop.  W = 8 is
+// movq, whose load zeroes the upper half and whose store writes back only the
+// low 8 bytes; GF arithmetic is bytewise, so the 16-byte body runs unchanged
+// there.  RREF's 40-byte coefficient rows and 80-byte rows with the
+// transform would otherwise end in 8 and 16 table lookups.
 // ---------------------------------------------------------------------------
+
+template <int W>
+__attribute__((target("sse2"))) inline __m128i load_w(const std::uint8_t* p) {
+  static_assert(W == 16 || W == 8);
+  if constexpr (W == 16) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  } else {
+    return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+  }
+}
+
+template <int W>
+__attribute__((target("sse2"))) inline void store_w(std::uint8_t* p,
+                                                    __m128i v) {
+  static_assert(W == 16 || W == 8);
+  if constexpr (W == 16) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  } else {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(p), v);
+  }
+}
+
+template <int W>
+__attribute__((target("gfni,avx2"))) inline void gfni_mul_step(
+    std::uint8_t* dst, const std::uint8_t* src, __m128i cv) {
+  store_w<W>(dst, _mm_gf2p8mul_epi8(load_w<W>(src), cv));
+}
+
+template <int W>
+__attribute__((target("gfni,avx2"))) inline void gfni_axpy_step(
+    std::uint8_t* dst, const std::uint8_t* src, __m128i cv) {
+  store_w<W>(dst, _mm_xor_si128(load_w<W>(dst),
+                                _mm_gf2p8mul_epi8(load_w<W>(src), cv)));
+}
+
+template <int W>
+__attribute__((target("gfni,avx2"))) inline void gfni_axpy2_step(
+    std::uint8_t* dst, const std::uint8_t* src0, __m128i cv0,
+    const std::uint8_t* src1, __m128i cv1) {
+  const __m128i p = _mm_xor_si128(_mm_gf2p8mul_epi8(load_w<W>(src0), cv0),
+                                  _mm_gf2p8mul_epi8(load_w<W>(src1), cv1));
+  store_w<W>(dst, _mm_xor_si128(load_w<W>(dst), p));
+}
+
+template <int W>
+__attribute__((target("gfni,avx2"))) inline void gfni_axpy4_step(
+    std::uint8_t* dst, const std::uint8_t* src0, __m128i cv0,
+    const std::uint8_t* src1, __m128i cv1, const std::uint8_t* src2,
+    __m128i cv2, const std::uint8_t* src3, __m128i cv3) {
+  const __m128i p01 = _mm_xor_si128(_mm_gf2p8mul_epi8(load_w<W>(src0), cv0),
+                                    _mm_gf2p8mul_epi8(load_w<W>(src1), cv1));
+  const __m128i p23 = _mm_xor_si128(_mm_gf2p8mul_epi8(load_w<W>(src2), cv2),
+                                    _mm_gf2p8mul_epi8(load_w<W>(src3), cv3));
+  store_w<W>(dst, _mm_xor_si128(load_w<W>(dst), _mm_xor_si128(p01, p23)));
+}
 
 __attribute__((target("gfni,avx2"))) void gfni_mul(std::uint8_t* dst,
                                                    const std::uint8_t* src,
@@ -867,10 +930,11 @@ __attribute__((target("gfni,avx2"))) void gfni_mul(std::uint8_t* dst,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_gf2p8mul_epi8(v, cv));
   }
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_gf2p8mul_epi8(v, _mm256_castsi256_si128(cv)));
+  const __m128i cv128 = _mm256_castsi256_si128(cv);
+  for (; i + 16 <= n; i += 16) gfni_mul_step<16>(dst + i, src + i, cv128);
+  if (i + 8 <= n) {
+    gfni_mul_step<8>(dst + i, src + i, cv128);
+    i += 8;
   }
   if (i < n) scalar_mul(dst + i, src + i, c, n - i);
 }
@@ -894,12 +958,11 @@ __attribute__((target("gfni,avx2"))) void gfni_axpy(std::uint8_t* dst,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(d, _mm256_gf2p8mul_epi8(v, cv)));
   }
-  for (; i + 16 <= n; i += 16) {
-    const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    _mm_storeu_si128(
-        reinterpret_cast<__m128i*>(dst + i),
-        _mm_xor_si128(d, _mm_gf2p8mul_epi8(v, _mm256_castsi256_si128(cv))));
+  const __m128i cv128 = _mm256_castsi256_si128(cv);
+  for (; i + 16 <= n; i += 16) gfni_axpy_step<16>(dst + i, src + i, cv128);
+  if (i + 8 <= n) {
+    gfni_axpy_step<8>(dst + i, src + i, cv128);
+    i += 8;
   }
   if (i < n) scalar_axpy(dst + i, src + i, c, n - i);
 }
@@ -924,6 +987,15 @@ __attribute__((target("gfni,avx2"))) void gfni_axpy2(std::uint8_t* dst,
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(d, p));
+  }
+  const __m128i cv0_128 = _mm256_castsi256_si128(cv0);
+  const __m128i cv1_128 = _mm256_castsi256_si128(cv1);
+  for (; i + 16 <= n; i += 16) {
+    gfni_axpy2_step<16>(dst + i, src0 + i, cv0_128, src1 + i, cv1_128);
+  }
+  if (i + 8 <= n) {
+    gfni_axpy2_step<8>(dst + i, src0 + i, cv0_128, src1 + i, cv1_128);
+    i += 8;
   }
   if (i < n) scalar_axpy2(dst + i, src0 + i, c0, src1 + i, c1, n - i);
 }
@@ -956,6 +1028,19 @@ __attribute__((target("gfni,avx2"))) void gfni_axpy4(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                         _mm256_xor_si256(d, _mm256_xor_si256(p01, p23)));
   }
+  const __m128i cv0_128 = _mm256_castsi256_si128(cv0);
+  const __m128i cv1_128 = _mm256_castsi256_si128(cv1);
+  const __m128i cv2_128 = _mm256_castsi256_si128(cv2);
+  const __m128i cv3_128 = _mm256_castsi256_si128(cv3);
+  for (; i + 16 <= n; i += 16) {
+    gfni_axpy4_step<16>(dst + i, src0 + i, cv0_128, src1 + i, cv1_128,
+                        src2 + i, cv2_128, src3 + i, cv3_128);
+  }
+  if (i + 8 <= n) {
+    gfni_axpy4_step<8>(dst + i, src0 + i, cv0_128, src1 + i, cv1_128,
+                       src2 + i, cv2_128, src3 + i, cv3_128);
+    i += 8;
+  }
   if (i < n) {
     scalar_axpy4(dst + i, src0 + i, c0, src1 + i, c1, src2 + i, c2, src3 + i,
                  c3, n - i);
@@ -970,6 +1055,18 @@ __attribute__((target("gfni,avx2"))) void gfni_axpy4(
 // read-modify-write.  A zero coefficient multiplies through the all-zero
 // table row and degenerates to a no-op, so callers need not filter.
 // ---------------------------------------------------------------------------
+
+template <int W>
+__attribute__((target("gfni,avx2"))) inline void gfni_scatter_step(
+    std::uint8_t* const* dsts, const std::uint8_t* coeffs, std::size_t count,
+    const std::uint8_t* src, std::size_t i) {
+  const __m128i v = load_w<W>(src + i);
+  for (std::size_t r = 0; r < count; ++r) {
+    const __m128i cv = _mm_set1_epi8(static_cast<char>(coeffs[r]));
+    std::uint8_t* d = dsts[r] + i;
+    store_w<W>(d, _mm_xor_si128(load_w<W>(d), _mm_gf2p8mul_epi8(v, cv)));
+  }
+}
 
 __attribute__((target("ssse3"))) void ssse3_axpy_scatter(
     std::uint8_t* const* dsts, const std::uint8_t* coeffs, std::size_t count,
@@ -1050,6 +1147,13 @@ __attribute__((target("gfni,avx2"))) void gfni_axpy_scatter(
               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d)),
               _mm256_gf2p8mul_epi8(v, cv)));
     }
+  }
+  for (; i + 16 <= n; i += 16) {
+    gfni_scatter_step<16>(dsts, coeffs, count, src, i);
+  }
+  if (i + 8 <= n) {
+    gfni_scatter_step<8>(dsts, coeffs, count, src, i);
+    i += 8;
   }
   if (i < n) {
     for (std::size_t r = 0; r < count; ++r) {

@@ -134,9 +134,16 @@ bool NodeRuntime::maybe_start_generation(double now, double cbr_bytes_per_s,
   const double needed = static_cast<double>(current_generation_ + 1) *
                         static_cast<double>(params_.generation_bytes());
   if (bytes_arrived + 1e-9 < needed) return false;
-  source_generation_.emplace(
-      coding::Generation::synthetic(current_generation_, params_, data_seed_));
-  encoder_.emplace(*source_generation_, session_id_, spec_);
+  if (!source_generation_) {
+    // On the heap, so the encoder's borrow survives moves of this runtime.
+    source_generation_ =
+        std::make_unique<coding::Generation>(current_generation_, params_);
+    encoder_.emplace(*source_generation_, session_id_, spec_);
+  }
+  // One generation buffer for the whole session, refilled in place; the
+  // encoder borrows it and restarts its emission sequence.
+  source_generation_->refill_synthetic(current_generation_, data_seed_);
+  encoder_->rewind();
   generation_active_ = true;
   generation_start_time_ = now;
   return true;
@@ -152,7 +159,7 @@ void NodeRuntime::complete_generation() {
 
 const coding::Generation& NodeRuntime::generation() const {
   OMNC_ASSERT(role_ == Role::kSource);
-  OMNC_ASSERT(source_generation_.has_value());
+  OMNC_ASSERT(source_generation_ != nullptr);
   return *source_generation_;
 }
 

@@ -2,9 +2,9 @@
 //
 // A NodeRuntime owns everything one node keeps for one session, keyed by its
 // role in the session DAG:
-//   * source      — the CBR-gated current generation, its family-
-//                   parameterized encoder, and the generation lifecycle
-//                   counters;
+//   * source      — the CBR-gated current generation (one buffer refilled
+//                   in place per generation), its family-parameterized
+//                   encoder, and the generation lifecycle counters;
 //   * relay       — the innovation-filtered recode buffer (Sec. 4, "Packet
 //                   and Queue Management") plus generation-expiry flushing;
 //   * destination — the family-parameterized decoder (progressive
@@ -149,7 +149,7 @@ class NodeRuntime {
   codes::CodeSpec spec_;  // clamped to params_
 
   // Source state.
-  std::optional<coding::Generation> source_generation_;
+  std::unique_ptr<coding::Generation> source_generation_;
   std::optional<codes::FamilyEncoder> encoder_;
   std::uint32_t current_generation_ = 0;
   bool generation_active_ = false;

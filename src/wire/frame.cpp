@@ -3,52 +3,19 @@
 #include <cstring>
 
 #include "common/assert.h"
+#include "common/byte_order.h"
 
 namespace omnc::wire {
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void put_double(std::vector<std::uint8_t>& out, double v) {
+void store_double(std::uint8_t* p, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
+  store_be64(p, bits);
 }
 
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
-}
-
-double get_double(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
+double load_double(const std::uint8_t* p) {
+  const std::uint64_t bits = load_be64(p);
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
@@ -59,67 +26,64 @@ bool valid_type(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(FrameType::kCodedDataCompact);
 }
 
-/// Appends just the body of `frame` (everything after the header) to `out`,
-/// so the caller's buffer is the only allocation site on the transmit path.
-void append_body(const Frame& frame, std::vector<std::uint8_t>& out) {
+/// Writes the body of `frame` (everything after the header) into `body`,
+/// which holds exactly body_size(frame) bytes: fixed fields at the offsets
+/// parse_body reads them from, coded spans with one copy each.
+void write_body(const Frame& frame, std::span<std::uint8_t> body) {
+  std::uint8_t* p = body.data();
   switch (frame.type) {
-    case FrameType::kCodedData: {
-      const coding::CodedPacket& pkt = frame.packet;
-      put_u32(out, pkt.session_id);
-      put_u32(out, pkt.generation_id);
-      put_u16(out, pkt.generation_blocks);
-      put_u16(out, pkt.block_bytes);
-      out.insert(out.end(), pkt.coefficients.begin(), pkt.coefficients.end());
-      out.insert(out.end(), pkt.payload.begin(), pkt.payload.end());
-      break;
-    }
+    case FrameType::kCodedData:
+      frame.packet.serialize_to(body);
+      return;
     case FrameType::kCodedDataCompact: {
       const bool ok =
-          coding::serialize_compact(frame.packet, frame.structure, out);
+          coding::serialize_compact(frame.packet, frame.structure, body);
       OMNC_ASSERT_MSG(ok, "compact frame with a dense/inconsistent structure");
-      break;
+      return;
     }
     case FrameType::kGenerationAck:
-      put_u32(out, frame.ack.generation_id);
-      put_u16(out, frame.ack.origin_local);
-      put_u32(out, frame.ack.ack_seq);
-      break;
+      store_be32(p, frame.ack.generation_id);
+      store_be16(p + 4, frame.ack.origin_local);
+      store_be32(p + 6, frame.ack.ack_seq);
+      return;
     case FrameType::kProbeBeacon:
-      put_u16(out, frame.beacon.origin_local);
-      put_u32(out, frame.beacon.sequence);
-      break;
+      store_be16(p, frame.beacon.origin_local);
+      store_be32(p + 2, frame.beacon.sequence);
+      return;
     case FrameType::kProbeReport:
-      put_u16(out, frame.report.reporter_local);
-      put_u16(out, frame.report.probed_local);
-      put_u32(out, frame.report.beacons_heard);
-      put_u32(out, frame.report.window);
-      break;
+      store_be16(p, frame.report.reporter_local);
+      store_be16(p + 2, frame.report.probed_local);
+      store_be32(p + 4, frame.report.beacons_heard);
+      store_be32(p + 8, frame.report.window);
+      return;
     case FrameType::kPriceUpdate: {
       const PriceUpdate& price = frame.price;
       OMNC_ASSERT(price.lambdas.size() <= 0xffff);
-      put_u16(out, price.node_local);
-      put_u32(out, price.iteration);
-      put_double(out, price.beta);
-      put_double(out, price.rate_bytes_per_s);
-      put_u16(out, static_cast<std::uint16_t>(price.lambdas.size()));
+      store_be16(p, price.node_local);
+      store_be32(p + 2, price.iteration);
+      store_double(p + 6, price.beta);
+      store_double(p + 14, price.rate_bytes_per_s);
+      store_be16(p + 22, static_cast<std::uint16_t>(price.lambdas.size()));
+      p += PriceUpdate::kFixedBytes;
       for (const PriceUpdate::Lambda& entry : price.lambdas) {
-        put_u16(out, entry.to_local);
-        put_double(out, entry.lambda);
+        store_be16(p, entry.to_local);
+        store_double(p + 2, entry.lambda);
+        p += PriceUpdate::kLambdaBytes;
       }
-      break;
+      return;
     }
     case FrameType::kResyncRequest:
-      put_u16(out, frame.resync_request.origin_local);
-      put_u32(out, frame.resync_request.last_seen_generation);
-      break;
+      store_be16(p, frame.resync_request.origin_local);
+      store_be32(p + 2, frame.resync_request.last_seen_generation);
+      return;
     case FrameType::kResyncInfo:
-      put_u32(out, frame.resync_info.generation_id);
-      put_u32(out, frame.resync_info.price_iteration);
-      break;
+      store_be32(p, frame.resync_info.generation_id);
+      store_be32(p + 4, frame.resync_info.price_iteration);
+      return;
   }
 }
 
-/// Byte count append_body will produce for `frame`.
+/// Byte count of `frame`'s body.
 std::size_t body_size(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kCodedData:
@@ -176,30 +140,30 @@ bool parse_body(FrameType type, std::uint32_t session_id,
     }
     case FrameType::kGenerationAck:
       if (body.size() != GenerationAck::kBytes) return false;
-      out->ack.generation_id = get_u32(body.data());
-      out->ack.origin_local = get_u16(body.data() + 4);
-      out->ack.ack_seq = get_u32(body.data() + 6);
+      out->ack.generation_id = load_be32(body.data());
+      out->ack.origin_local = load_be16(body.data() + 4);
+      out->ack.ack_seq = load_be32(body.data() + 6);
       return true;
     case FrameType::kProbeBeacon:
       if (body.size() != ProbeBeacon::kBytes) return false;
-      out->beacon.origin_local = get_u16(body.data());
-      out->beacon.sequence = get_u32(body.data() + 2);
+      out->beacon.origin_local = load_be16(body.data());
+      out->beacon.sequence = load_be32(body.data() + 2);
       return true;
     case FrameType::kProbeReport:
       if (body.size() != ProbeReport::kBytes) return false;
-      out->report.reporter_local = get_u16(body.data());
-      out->report.probed_local = get_u16(body.data() + 2);
-      out->report.beacons_heard = get_u32(body.data() + 4);
-      out->report.window = get_u32(body.data() + 8);
+      out->report.reporter_local = load_be16(body.data());
+      out->report.probed_local = load_be16(body.data() + 2);
+      out->report.beacons_heard = load_be32(body.data() + 4);
+      out->report.window = load_be32(body.data() + 8);
       return true;
     case FrameType::kPriceUpdate: {
       if (body.size() < PriceUpdate::kFixedBytes) return false;
       PriceUpdate price;
-      price.node_local = get_u16(body.data());
-      price.iteration = get_u32(body.data() + 2);
-      price.beta = get_double(body.data() + 6);
-      price.rate_bytes_per_s = get_double(body.data() + 14);
-      const std::size_t count = get_u16(body.data() + 22);
+      price.node_local = load_be16(body.data());
+      price.iteration = load_be32(body.data() + 2);
+      price.beta = load_double(body.data() + 6);
+      price.rate_bytes_per_s = load_double(body.data() + 14);
+      const std::size_t count = load_be16(body.data() + 22);
       // All size arithmetic in std::size_t: count <= 0xffff and the
       // per-entry size is constant, so the product cannot overflow; the
       // exact-size check then pins the claimed count to the actual payload.
@@ -209,8 +173,8 @@ bool parse_body(FrameType type, std::uint32_t session_id,
       price.lambdas.resize(count);
       const std::uint8_t* p = body.data() + PriceUpdate::kFixedBytes;
       for (std::size_t i = 0; i < count; ++i) {
-        price.lambdas[i].to_local = get_u16(p);
-        price.lambdas[i].lambda = get_double(p + 2);
+        price.lambdas[i].to_local = load_be16(p);
+        price.lambdas[i].lambda = load_double(p + 2);
         p += PriceUpdate::kLambdaBytes;
       }
       out->price = std::move(price);
@@ -218,13 +182,13 @@ bool parse_body(FrameType type, std::uint32_t session_id,
     }
     case FrameType::kResyncRequest:
       if (body.size() != ResyncRequest::kBytes) return false;
-      out->resync_request.origin_local = get_u16(body.data());
-      out->resync_request.last_seen_generation = get_u32(body.data() + 2);
+      out->resync_request.origin_local = load_be16(body.data());
+      out->resync_request.last_seen_generation = load_be32(body.data() + 2);
       return true;
     case FrameType::kResyncInfo:
       if (body.size() != ResyncInfo::kBytes) return false;
-      out->resync_info.generation_id = get_u32(body.data());
-      out->resync_info.price_iteration = get_u32(body.data() + 4);
+      out->resync_info.generation_id = load_be32(body.data());
+      out->resync_info.price_iteration = load_be32(body.data() + 4);
       return true;
   }
   return false;  // unknown type (already rejected by the header check)
@@ -244,19 +208,19 @@ struct Header {
 /// checksum (peeks skip it; Frame::parse checks).
 bool parse_header(std::span<const std::uint8_t> bytes, Header* out) {
   if (bytes.size() < kHeaderBytes) return false;
-  if (get_u32(bytes.data()) != kMagic) return false;
+  if (load_be32(bytes.data()) != kMagic) return false;
   if (bytes[4] != kWireVersion) return false;
   if (!valid_type(bytes[5])) return false;
-  const std::size_t payload_bytes = get_u32(bytes.data() + 10);
+  const std::size_t payload_bytes = load_be32(bytes.data() + 10);
   // Bound the length field before any arithmetic with it: a hostile header
   // may claim up to 4 GiB.
   if (payload_bytes > kMaxFrameBytes) return false;
   if (bytes.size() != kHeaderBytes + payload_bytes) return false;
   out->type = static_cast<FrameType>(bytes[5]);
-  out->session_id = get_u32(bytes.data() + 6);
-  out->checksum = get_u32(bytes.data() + 14);
-  out->trace_origin = get_u16(bytes.data() + kTraceTagOffset);
-  out->trace_seq = get_u32(bytes.data() + kTraceTagOffset + 2);
+  out->session_id = load_be32(bytes.data() + 6);
+  out->checksum = load_be32(bytes.data() + 14);
+  out->trace_origin = load_be16(bytes.data() + kTraceTagOffset);
+  out->trace_seq = load_be32(bytes.data() + kTraceTagOffset + 2);
   out->payload = bytes.subspan(kHeaderBytes);
   return true;
 }
@@ -272,24 +236,21 @@ std::vector<std::uint8_t> Frame::serialize() const {
 void Frame::serialize_into(std::vector<std::uint8_t>* out) const {
   const std::size_t body_bytes = body_size(*this);
   OMNC_ASSERT(body_bytes <= kMaxFrameBytes);
-  out->clear();
-  out->reserve(kHeaderBytes + body_bytes);
-  put_u32(*out, kMagic);
-  out->push_back(kWireVersion);
-  out->push_back(static_cast<std::uint8_t>(type));
-  put_u32(*out, session_id);
-  put_u32(*out, static_cast<std::uint32_t>(body_bytes));
-  put_u32(*out, 0);  // checksum; patched once the covered bytes are in place
-  put_u16(*out, trace_origin);
-  put_u32(*out, trace_seq);
-  append_body(*this, *out);
-  OMNC_ASSERT(out->size() == kHeaderBytes + body_bytes);
-  const std::uint32_t sum =
-      crc32c(std::span<const std::uint8_t>(*out).subspan(kTraceTagOffset));
-  (*out)[14] = static_cast<std::uint8_t>(sum >> 24);
-  (*out)[15] = static_cast<std::uint8_t>(sum >> 16);
-  (*out)[16] = static_cast<std::uint8_t>(sum >> 8);
-  (*out)[17] = static_cast<std::uint8_t>(sum);
+  // Sized once; every byte below is overwritten, so a reused buffer of the
+  // right size is neither cleared nor refilled.
+  out->resize(kHeaderBytes + body_bytes);
+  std::uint8_t* p = out->data();
+  store_be32(p, kMagic);
+  p[4] = kWireVersion;
+  p[5] = static_cast<std::uint8_t>(type);
+  store_be32(p + 6, session_id);
+  store_be32(p + 10, static_cast<std::uint32_t>(body_bytes));
+  store_be16(p + kTraceTagOffset, trace_origin);
+  store_be32(p + kTraceTagOffset + 2, trace_seq);
+  write_body(*this, std::span<std::uint8_t>(*out).subspan(kHeaderBytes));
+  // The checksum covers bytes 18..end, so it goes in last.
+  store_be32(p + 14, crc32c(std::span<const std::uint8_t>(*out).subspan(
+                         kTraceTagOffset)));
 }
 
 bool Frame::parse(std::span<const std::uint8_t> bytes, Frame* out) {
@@ -440,7 +401,7 @@ bool peek_generation(std::span<const std::uint8_t> bytes, std::uint32_t* out) {
   // Both data bodies open with the CodedPacket wire header: session id
   // (u32) then generation id (u32).
   if (header.payload.size() < 8) return false;
-  *out = get_u32(header.payload.data() + 4);
+  *out = load_be32(header.payload.data() + 4);
   return true;
 }
 
@@ -454,7 +415,7 @@ bool peek_data_session(std::span<const std::uint8_t> bytes,
   }
   // The CodedPacket wire header opens with its own session id (u32).
   if (header.payload.size() < 8) return false;
-  *out = get_u32(header.payload.data());
+  *out = load_be32(header.payload.data());
   return true;
 }
 

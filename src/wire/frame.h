@@ -200,10 +200,11 @@ struct Frame {
 
   std::vector<std::uint8_t> serialize() const;
 
-  /// Serializes into a caller-owned buffer (cleared first), reusing its
-  /// capacity — the transmit path emits one frame per call into the same
-  /// vector without allocating in the steady state.  Byte-identical to
-  /// serialize().
+  /// Serializes into a caller-owned buffer, replacing its contents and
+  /// reusing its capacity — the transmit path emits one frame per call into
+  /// the same vector without allocating in the steady state.  The buffer is
+  /// sized once and every field written at its fixed offset.
+  /// Byte-identical to serialize().
   void serialize_into(std::vector<std::uint8_t>* out) const;
 
   /// Parses one frame.  Returns false on anything malformed: short buffer,

@@ -6,8 +6,10 @@
 // versions; each test drives one full generation inside a counting window
 // and pins the delta to zero, so any future per-packet allocation (a stray
 // copy, a vector that re-grows, a debug string) fails loudly instead of
-// silently eroding the zero-copy pipeline.  The session mux's poll loop is
-// held to the same rule: a run's allocation count must not grow with the
+// silently eroding the zero-copy pipeline.  The source's generation
+// turnover (refill, encode, retire) and the destination's stream check are
+// held to the same rule, and so is the session mux's poll loop, with and
+// without a fault injector: a run's allocation count must not grow with the
 // number of (mostly empty) polls it makes.
 #include <gtest/gtest.h>
 
@@ -15,18 +17,23 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "codes/code_spec.h"
 #include "coding/coded_packet.h"
 #include "coding/decoder.h"
 #include "coding/encoder.h"
 #include "coding/generation.h"
 #include "coding/recoder.h"
 #include "common/rng.h"
+#include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
 #include "net/topology.h"
+#include "protocols/node_runtime.h"
 #include "routing/node_selection.h"
 #include "wire/frame.h"
 
@@ -196,11 +203,67 @@ TEST(AllocRegression, SteadyStateRelayPathIsAllocationFree) {
          "allocate";
 }
 
+TEST(AllocRegression, SourceGenerationTurnoverIsAllocationFree) {
+  // The first generation sizes the source's one generation buffer, its
+  // encoder and the reused packet; generations 2..5 refill, emit and
+  // retire without touching the heap, under every code family.
+  const coding::CodingParams params{8, 64};
+  for (const codes::CodeSpec& spec :
+       {codes::CodeSpec::dense(), codes::CodeSpec::systematic(),
+        codes::CodeSpec::banded(4)}) {
+    protocols::NodeRuntime source =
+        protocols::NodeRuntime::source(params, 1, 7, spec);
+    Rng rng(3);
+    coding::CodedPacket packet;
+    coding::CodedStructure structure;
+    bool started = true;
+    const auto run_generation = [&](protocols::NodeRuntime& node) {
+      // By t = 1 s a 1 GB/s CBR source has every generation's bytes.
+      started &= node.maybe_start_generation(1.0, 1e9, 5);
+      for (int i = 0; i < params.generation_blocks + 4; ++i) {
+        node.next_packet_into(rng, &packet, &structure);
+      }
+      node.complete_generation();
+    };
+    run_generation(source);
+    // Containers may move a runtime between generations; the encoder's
+    // borrow of the generation buffer must survive that.
+    protocols::NodeRuntime moved = std::move(source);
+
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int g = 1; g < 5; ++g) run_generation(moved);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_TRUE(started) << spec.name();
+    EXPECT_EQ(moved.generations_completed(), 5);
+    EXPECT_EQ(after - before, 0u)
+        << spec.name()
+        << ": starting, emitting and retiring a generation must not allocate";
+    // The one buffer now holds the fifth generation's stream, and the last
+    // packet was encoded from it.
+    EXPECT_EQ(moved.generation().id(), 4u);
+    EXPECT_TRUE(coding::matches_synthetic(4, 7, moved.generation().bytes()));
+    EXPECT_EQ(packet.generation_id, 4u);
+  }
+}
+
+TEST(AllocRegression, SyntheticStreamCheckIsAllocationFree) {
+  const coding::Generation gen =
+      coding::Generation::synthetic(2, coding::CodingParams{40, 1024}, 7);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const bool matches = coding::matches_synthetic(2, 7, gen.bytes());
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(matches);
+  EXPECT_EQ(after - before, 0u);
+}
+
 /// Heap allocations made by mux.run() for one det-clock, one-session mux
 /// on the diamond, run to `horizon_s` virtual seconds over a loopback whose
 /// links all have p = 0: every frame is lost, so every poll finds an empty
-/// inbox and the session never completes.
-std::size_t silent_mux_run_allocations(double horizon_s) {
+/// inbox and the session never completes.  A nonempty `fault_plan` wraps
+/// the loopback in a FaultTransport running that plan.
+std::size_t silent_mux_run_allocations(double horizon_s,
+                                       const std::string& fault_plan = "") {
   const net::Topology topo = net::Topology::from_link_matrix({
       {0.0, 0.8, 0.6, 0.0},
       {0.8, 0.0, 0.0, 0.7},
@@ -211,7 +274,16 @@ std::size_t silent_mux_run_allocations(double horizon_s) {
   // The diamond's link matrix with every p set to 0: nothing is delivered.
   std::vector<double> silent = emu::link_matrix_from_topology(topo, graph);
   std::fill(silent.begin(), silent.end(), 0.0);
-  emu::LoopbackTransport transport(graph.size(), std::move(silent));
+  emu::LoopbackTransport loopback(graph.size(), std::move(silent));
+  std::optional<emu::FaultTransport> faults;
+  if (!fault_plan.empty()) {
+    emu::FaultPlan plan;
+    std::string error;
+    EXPECT_TRUE(emu::FaultPlan::parse(fault_plan, &plan, &error)) << error;
+    faults.emplace(loopback, std::move(plan));
+  }
+  emu::Transport& transport =
+      faults ? static_cast<emu::Transport&>(*faults) : loopback;
   emu::MuxConfig config;
   config.emu.node.coding = coding::CodingParams{8, 64};
   config.emu.node.max_generations = 1;
@@ -237,6 +309,16 @@ TEST(AllocRegression, MuxPollLoopAllocationsDoNotGrowWithRunLength) {
   EXPECT_LE(long_run, short_run)
       << "a 40 s run allocated more than a 20 s one: something in the "
          "mux poll loop allocates per tick";
+}
+
+TEST(AllocRegression, FaultTransportPollAllocationsDoNotGrowWithRunLength) {
+  // The same silent run behind the burst preset's injector: its per-copy
+  // filter must not cost an allocation per poll either.
+  const std::size_t short_run = silent_mux_run_allocations(20.0, "burst");
+  const std::size_t long_run = silent_mux_run_allocations(40.0, "burst");
+  EXPECT_LE(long_run, short_run)
+      << "a 40 s fault-plan run allocated more than a 20 s one: something "
+         "in FaultTransport::poll allocates per tick";
 }
 
 }  // namespace

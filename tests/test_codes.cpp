@@ -482,10 +482,9 @@ TEST(CompactWire, RoundTripsEveryStructureKind) {
     for (int i = 0; i < 20; ++i) {
       encoder.next_packet_into(rng, &packet, &structure);
       if (structure.dense()) continue;  // dense keeps the dense wire form
-      std::vector<std::uint8_t> wire;
+      std::vector<std::uint8_t> wire(
+          coding::compact_wire_size(structure, params.block_bytes));
       ASSERT_TRUE(coding::serialize_compact(packet, structure, wire));
-      EXPECT_EQ(wire.size(),
-                coding::compact_wire_size(structure, params.block_bytes));
       coding::CodedPacketView view;
       coding::CodedStructure parsed;
       ASSERT_TRUE(coding::parse_compact(
@@ -510,7 +509,8 @@ TEST(CompactWire, ParseRejectsTruncationAndGarbage) {
   coding::CodedPacket packet;
   coding::CodedStructure structure;
   encoder.next_packet_into(rng, &packet, &structure);
-  std::vector<std::uint8_t> wire;
+  std::vector<std::uint8_t> wire(
+      coding::compact_wire_size(structure, params.block_bytes));
   ASSERT_TRUE(coding::serialize_compact(packet, structure, wire));
   coding::CodedPacketView view;
   coding::CodedStructure parsed;

@@ -92,8 +92,31 @@ INSTANTIATE_TEST_SUITE_P(
 // Backend-equivalence property test: every supported backend, over random
 // constants and ragged lengths, cross-checked byte-for-byte against the
 // bitwise mul_slow reference — including the fused region_axpy2/4 kernels
-// and deliberately misaligned source/destination offsets.
+// and deliberately misaligned source/destination offsets.  Every size
+// 0..96 walks each backend through every mix of its vector loops (gfni's
+// 16- and 8-byte tail steps included) and its scalar tail, the 40- and
+// 80-byte RREF rows among them.  Every destination, scatter destinations
+// included, is followed by at least kSlack bytes that must come back
+// unchanged, so an overlong vector store fails on every backend.
 // ---------------------------------------------------------------------------
+
+constexpr std::size_t kSlack = 8;
+
+/// Success iff `out` equals `before` everywhere outside [off, off + size).
+::testing::AssertionResult untouched_outside(
+    const std::vector<std::uint8_t>& out,
+    const std::vector<std::uint8_t>& before, std::size_t off,
+    std::size_t size) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (i >= off && i < off + size) continue;
+    if (out[i] != before[i]) {
+      return ::testing::AssertionFailure()
+             << "byte " << i - off << " past a " << size
+             << "-byte region was written";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 class RegionPropertyTest : public ::testing::TestWithParam<Backend> {};
 
@@ -101,13 +124,15 @@ TEST_P(RegionPropertyTest, KernelsMatchMulSlowOnRaggedMisalignedRegions) {
   const Backend backend = GetParam();
   if (!backend_supported(backend)) GTEST_SKIP();
   Rng rng(20240801);
-  const std::size_t sizes[] = {0, 1, 15, 16, 17, 31, 32, 33, 4096 + 7};
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 0; size <= 96; ++size) sizes.push_back(size);
+  sizes.push_back(4096 + 7);
   for (const std::size_t size : sizes) {
     for (int trial = 0; trial < 4; ++trial) {
       // Offsets 0..3 knock every buffer off SIMD alignment in different ways.
       const std::size_t dst_off = static_cast<std::size_t>(trial);
       const std::size_t src_off = static_cast<std::size_t>(3 - trial);
-      const std::size_t span = size + 4;
+      const std::size_t span = size + 3 + kSlack;
       auto dst_buf = random_bytes(span, rng);
       auto s0_buf = random_bytes(span, rng);
       auto s1_buf = random_bytes(span, rng);
@@ -129,6 +154,8 @@ TEST_P(RegionPropertyTest, KernelsMatchMulSlowOnRaggedMisalignedRegions) {
           ASSERT_EQ(out[dst_off + i], mul_slow(c[0], s0[i]))
               << backend_name(backend) << " mul size=" << size;
         }
+        ASSERT_TRUE(untouched_outside(out, dst_buf, dst_off, size))
+            << backend_name(backend) << " mul";
       }
       // axpy
       {
@@ -139,6 +166,8 @@ TEST_P(RegionPropertyTest, KernelsMatchMulSlowOnRaggedMisalignedRegions) {
                     static_cast<std::uint8_t>(dst[i] ^ mul_slow(c[0], s0[i])))
               << backend_name(backend) << " axpy size=" << size;
         }
+        ASSERT_TRUE(untouched_outside(out, dst_buf, dst_off, size))
+            << backend_name(backend) << " axpy";
       }
       // axpy2 (also with a zero and a one constant in the mix)
       for (const std::uint8_t c1 :
@@ -152,6 +181,8 @@ TEST_P(RegionPropertyTest, KernelsMatchMulSlowOnRaggedMisalignedRegions) {
                                               mul_slow(c1, s1[i])))
               << backend_name(backend) << " axpy2 size=" << size;
         }
+        ASSERT_TRUE(untouched_outside(out, dst_buf, dst_off, size))
+            << backend_name(backend) << " axpy2";
       }
       // axpy_scatter: one source into three misaligned destinations, with a
       // zero and a one in the coefficient mix
@@ -176,6 +207,12 @@ TEST_P(RegionPropertyTest, KernelsMatchMulSlowOnRaggedMisalignedRegions) {
                     static_cast<std::uint8_t>(s2_buf[dst_off + i] ^ s0[i]))
               << backend_name(backend) << " scatter c=1 size=" << size;
         }
+        ASSERT_TRUE(untouched_outside(d0, dst_buf, dst_off, size))
+            << backend_name(backend) << " scatter";
+        ASSERT_TRUE(untouched_outside(d1, s1_buf, dst_off, size))
+            << backend_name(backend) << " scatter c=0";
+        ASSERT_TRUE(untouched_outside(d2, s2_buf, dst_off, size))
+            << backend_name(backend) << " scatter c=1";
       }
       // axpy4
       {
@@ -189,6 +226,8 @@ TEST_P(RegionPropertyTest, KernelsMatchMulSlowOnRaggedMisalignedRegions) {
                         mul_slow(c[2], s2[i]) ^ mul_slow(c[3], s3[i])))
               << backend_name(backend) << " axpy4 size=" << size;
         }
+        ASSERT_TRUE(untouched_outside(out, dst_buf, dst_off, size))
+            << backend_name(backend) << " axpy4";
       }
     }
   }

@@ -459,6 +459,88 @@ TEST(WireFrameHostile, SurvivesMutatedValidFrames) {
   }
 }
 
+// ---- Exact bytes ---------------------------------------------------------
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0x0f]);
+  }
+  return out;
+}
+
+/// `frame` with a nonzero trace tag, so every header field is pinned.
+wire::Frame tagged(wire::Frame frame) {
+  frame.trace_origin = 0x0102;
+  frame.trace_seq = 0x03040506;
+  return frame;
+}
+
+TEST(WireBytes, EveryFrameKindSerializesToPinnedBytes) {
+  // Literals captured from the push_back-per-byte writers: any writer must
+  // reproduce the wire format byte for byte.
+  coding::CodedPacket uncoded = sample_packet();
+  uncoded.coefficients = {0, 0, 1, 0};
+  coding::CodedPacket window = sample_packet();
+  window.coefficients = {0, 5, 6, 0};
+  wire::PriceUpdate price;
+  price.node_local = 2;
+  price.iteration = 91;
+  price.beta = 0.12345678901234567;
+  price.rate_bytes_per_s = 9876.54321;
+  price.lambdas = {{1, 1.0 / 3.0}, {3, 7.25e-9}};
+
+  const struct {
+    const char* name;
+    wire::Frame frame;
+    const char* bytes;
+  } cases[] = {
+      {"dense data", tagged(wire::make_coded_data(sample_packet())),
+       "4f4d4e43030100000007000000183e67a7ed010203040506"
+       "000000070000000300040008010203040a141e28323c4650"},
+      {"compact uncoded",
+       tagged(wire::make_coded_data_compact(
+           uncoded, coding::CodedStructure::make_uncoded(2))),
+       "4f4d4e430308000000070000001715de475d010203040506"
+       "0000000700000003000400080100020a141e28323c4650"},
+      {"compact window",
+       tagged(wire::make_coded_data_compact(
+           window, coding::CodedStructure::make_window(1, 2))),
+       "4f4d4e430308000000070000001bc5ea1e48010203040506"
+       "000000070000000300040008020001000205060a141e28323c4650"},
+      {"ack", tagged(wire::make_ack(9, wire::GenerationAck{42, 3, 17})),
+       "4f4d4e430302000000090000000ac0f08fcb010203040506"
+       "0000002a000300000011"},
+      {"beacon", tagged(wire::make_beacon(9, wire::ProbeBeacon{2, 1234})),
+       "4f4d4e4303030000000900000006a6408ce0010203040506"
+       "0002000004d2"},
+      {"report",
+       tagged(wire::make_report(9, wire::ProbeReport{1, 2, 37, 50})),
+       "4f4d4e430304000000090000000c3a7402eb010203040506"
+       "000100020000002500000032"},
+      {"price", tagged(wire::make_price(9, price)),
+       "4f4d4e430305000000090000002cb8b1104d010203040506"
+       "00020000005b3fbf9add3746f65e40c34a4587e7c06e000200013fd5"
+       "55555555555500033e3f237594c664ee"},
+      {"resync request",
+       tagged(wire::make_resync_request(9, wire::ResyncRequest{3, 41})),
+       "4f4d4e4303060000000900000006ba3c46de010203040506"
+       "000300000029"},
+      {"resync info",
+       tagged(wire::make_resync_info(9, wire::ResyncInfo{17, 250})),
+       "4f4d4e4303070000000900000008b29f0389010203040506"
+       "00000011000000fa"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(hex(c.frame.serialize()), c.bytes) << c.name;
+  }
+  EXPECT_EQ(hex(sample_packet().serialize()),
+            "000000070000000300040008010203040a141e28323c4650")
+      << "CodedPacket";
+}
+
 // ---- CRC32C checksum -----------------------------------------------------
 
 std::uint32_t crc_of(const std::vector<std::uint8_t>& bytes) {
