@@ -101,8 +101,9 @@ void EmuNode::broadcast(const wire::Frame& frame) {
 
 void EmuNode::emit_span(obs::SpanEvent::Kind kind, double now,
                         std::uint32_t generation, obs::SpanId span, int peer,
-                        std::size_t rank, std::vector<obs::SpanId> parents,
-                        int pivot, bool uncoded) {
+                        std::size_t rank,
+                        std::span<const obs::SpanId> parents, int pivot,
+                        bool uncoded) {
   if (!span_sink_) return;
   obs::SpanEvent event;
   event.kind = kind;
@@ -115,7 +116,7 @@ void EmuNode::emit_span(obs::SpanEvent::Kind kind, double now,
   event.rank = rank;
   event.pivot = pivot;
   event.uncoded = uncoded;
-  event.parents = std::move(parents);
+  event.parents.assign(parents.begin(), parents.end());
   span_sink_(event);
 }
 

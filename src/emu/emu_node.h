@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "codes/code_spec.h"
@@ -212,9 +213,11 @@ class EmuNode {
   void run_recovery(double now);
   void pace(double now);
   void broadcast(const wire::Frame& frame);
+  /// `parents` is copied into the event only when a span sink is
+  /// installed, so untraced runs never pay for it.
   void emit_span(obs::SpanEvent::Kind kind, double now,
                  std::uint32_t generation, obs::SpanId span, int peer,
-                 std::size_t rank, std::vector<obs::SpanId> parents = {},
+                 std::size_t rank, std::span<const obs::SpanId> parents = {},
                  int pivot = -1, bool uncoded = false);
   void send_ack(double now);
   void flood_prices(double now);

@@ -1,5 +1,6 @@
 #include "emu/loopback_transport.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/assert.h"
@@ -51,9 +52,32 @@ std::vector<double> link_matrix_from_phy(
   return link_p;
 }
 
+class LoopbackTransport::QueueReadiness final : public TransportReadiness {
+ public:
+  explicit QueueReadiness(const LoopbackTransport& transport)
+      : transport_(transport) {}
+
+  bool poll_ready(std::vector<int>* ready) override {
+    (void)ready;
+    return false;
+  }
+
+  bool pending(int node) override {
+    OMNC_ASSERT(node >= 0 && node < transport_.n_);
+    return transport_.queued_[static_cast<std::size_t>(node)].load(
+               std::memory_order_relaxed) != 0;
+  }
+
+ private:
+  const LoopbackTransport& transport_;
+};
+
 LoopbackTransport::LoopbackTransport(int nodes, std::vector<double> link_p,
                                      LoopbackConfig config)
-    : n_(nodes), link_p_(std::move(link_p)), config_(config) {
+    : n_(nodes),
+      link_p_(std::move(link_p)),
+      config_(config),
+      queued_(static_cast<std::size_t>(std::max(nodes, 0))) {
   OMNC_ASSERT(n_ > 0);
   OMNC_ASSERT(link_p_.size() == static_cast<std::size_t>(n_) * n_);
   Rng master(config_.seed);
@@ -97,8 +121,10 @@ void LoopbackTransport::send(int from, std::span<const std::uint8_t> frame) {
     }
     std::vector<std::uint8_t> bytes = take_buffer();
     bytes.assign(frame.begin(), frame.end());
-    inbox_[static_cast<std::size_t>(to)].push_back(
-        Delivery{from, due, std::move(bytes)});
+    std::deque<Delivery>& inbox = inbox_[static_cast<std::size_t>(to)];
+    inbox.push_back(Delivery{from, due, std::move(bytes)});
+    queued_[static_cast<std::size_t>(to)].store(inbox.size(),
+                                                std::memory_order_relaxed);
   }
 }
 
@@ -114,6 +140,8 @@ std::size_t LoopbackTransport::poll(int to, const Handler& handler) {
       due.push_back(std::move(inbox.front()));
       inbox.pop_front();
     }
+    queued_[static_cast<std::size_t>(to)].store(inbox.size(),
+                                                std::memory_order_relaxed);
     stats_.copies_delivered += due.size();
     if (observer_ != nullptr) {
       for (const Delivery& delivery : due) {
@@ -136,6 +164,12 @@ std::size_t LoopbackTransport::poll(int to, const Handler& handler) {
   }
   due.clear();
   return delivered;
+}
+
+std::unique_ptr<TransportReadiness> LoopbackTransport::make_readiness(
+    std::span<const int> nodes) {
+  (void)nodes;
+  return std::make_unique<QueueReadiness>(*this);
 }
 
 TransportStats LoopbackTransport::stats() const {

@@ -9,7 +9,9 @@
 // DeterministicClock it does not, see §12).
 #pragma once
 
+#include <atomic>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -64,7 +66,15 @@ class LoopbackTransport final : public Transport {
   std::size_t poll(int to, const Handler& handler) override;
   TransportStats stats() const override;
 
+  /// A readiness set whose per-node answer is exact: pending(i) is true
+  /// exactly when a copy for i is queued, due or not.  Its batch poll_ready
+  /// returns false, so sharded loops keep polling every node each tick.
+  std::unique_ptr<TransportReadiness> make_readiness(
+      std::span<const int> nodes) override;
+
  private:
+  class QueueReadiness;
+
   struct Delivery {
     int from = 0;
     double due = 0.0;  // virtual seconds
@@ -82,6 +92,9 @@ class LoopbackTransport final : public Transport {
 
   mutable std::mutex mutex_;
   std::vector<std::deque<Delivery>> inbox_;  // per receiver
+  /// inbox_[i].size(), stored under mutex_ whenever the inbox changes and
+  /// read without it by QueueReadiness.
+  std::vector<std::atomic<std::size_t>> queued_;
   /// Free-list of delivery byte buffers (mutex_-guarded): a copy's vector is
   /// recycled once its receiver has polled it, so steady-state traffic stops
   /// hitting the allocator per delivered copy.  Bounded by the number of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <utility>
@@ -349,6 +350,10 @@ void SessionMux::run_threaded(vtime::Clock& clock, double tick, double horizon,
 void SessionMux::run_deterministic(vtime::DeterministicClock& clock,
                                    double tick, double horizon) {
   clock.start(1);
+  std::vector<int> all(static_cast<std::size_t>(graph_.size()));
+  std::iota(all.begin(), all.end(), 0);
+  const std::unique_ptr<TransportReadiness> readiness =
+      transport_.make_readiness(all);
   while (clock.now() < horizon) {
     if (all_completed()) break;
     clock.advance_to(clock.now() + tick);
@@ -357,7 +362,11 @@ void SessionMux::run_deterministic(vtime::DeterministicClock& clock,
     // seeds.
     const double now = clock.now();
     for (int node = 0; node < graph_.size(); ++node) {
-      drain_and_step(now, node, true);
+      // Asked right before the drain, so a copy that a lower-numbered node
+      // sent earlier in this tick still arrives in this tick.  A skipped
+      // poll is one that would have delivered nothing (DESIGN.md §10.3).
+      const bool drain = readiness == nullptr || readiness->pending(node);
+      drain_and_step(now, node, drain);
     }
   }
   const double now = clock.now();

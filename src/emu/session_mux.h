@@ -19,7 +19,9 @@
 //     the workers can step, so the same session finishes in milliseconds.
 //   * kDeterministic — no threads; nodes step round-robin on a cooperative
 //     clock, making the whole run (packet counts, goodput, traces) a pure
-//     function of the seeds.
+//     function of the seeds.  Each tick polls only the nodes the transport
+//     reports a queued copy for; a skipped poll would have delivered
+//     nothing (DESIGN.md §10.3).
 //
 // Sharding model — the socket is the serialization domain.  The Transport
 // contract says send(i)/poll(i) run only on node i's thread; with sessions

@@ -93,8 +93,10 @@ class TransportObserver {
 /// one readiness object per worker thread and asks it each tick which of the
 /// shard's sockets have data pending, skipping the poll syscall on idle ones
 /// — with hundreds of nodes the per-tick cost becomes one epoll_wait instead
-/// of one recv per socket.  Purely an optimization: polling every node
-/// without a readiness object is always correct.
+/// of one recv per socket.  The single-threaded deterministic loop instead
+/// asks about one node at a time, right before it would poll that node.
+/// Purely an optimization: polling every node without a readiness object is
+/// always correct.
 class TransportReadiness {
  public:
   virtual ~TransportReadiness() = default;
@@ -104,6 +106,16 @@ class TransportReadiness {
   /// readiness could not be determined this round — the caller must then
   /// poll every watched node.  Never blocks.
   virtual bool poll_ready(std::vector<int>* ready) = 0;
+
+  /// Whether poll(node) might deliver a frame now, for one watched node.
+  /// False is a promise that it would deliver nothing, so the caller may
+  /// skip the poll; true promises nothing (a copy may be queued but not yet
+  /// due).  The base answer is always true: transports without an exact
+  /// per-node count are polled every time.
+  virtual bool pending(int node) {
+    (void)node;
+    return true;
+  }
 };
 
 class Transport {

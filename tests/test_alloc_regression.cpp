@@ -7,10 +7,10 @@
 // and pins the delta to zero, so any future per-packet allocation (a stray
 // copy, a vector that re-grows, a debug string) fails loudly instead of
 // silently eroding the zero-copy pipeline.  The source's generation
-// turnover (refill, encode, retire) and the destination's stream check are
-// held to the same rule, and so is the session mux's poll loop, with and
-// without a fault injector: a run's allocation count must not grow with the
-// number of (mostly empty) polls it makes.
+// turnover (refill, encode, retire), the destination's stream check and an
+// untraced relay's transmit are held to the same rule, and so is the session
+// mux's det loop, with and without a fault injector: a run's allocation
+// count must not grow with the number of (mostly empty) ticks it makes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +29,7 @@
 #include "coding/generation.h"
 #include "coding/recoder.h"
 #include "common/rng.h"
+#include "emu/emu_node.h"
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
@@ -302,8 +303,10 @@ std::size_t silent_mux_run_allocations(double horizon_s,
 }
 
 TEST(AllocRegression, MuxPollLoopAllocationsDoNotGrowWithRunLength) {
-  // Doubling the horizon doubles the polls; the poll handler must fit
-  // std::function's inline buffer, so the count stays flat.
+  // Doubling the horizon doubles the ticks; the det loop's per-tick
+  // readiness queries and node steps must not allocate, so the count stays
+  // flat.  (With every link silent the loopback reports no queued copy, so
+  // this loop skips its polls; the fault-plan case below polls every tick.)
   const std::size_t short_run = silent_mux_run_allocations(20.0);
   const std::size_t long_run = silent_mux_run_allocations(40.0);
   EXPECT_LE(long_run, short_run)
@@ -312,13 +315,80 @@ TEST(AllocRegression, MuxPollLoopAllocationsDoNotGrowWithRunLength) {
 }
 
 TEST(AllocRegression, FaultTransportPollAllocationsDoNotGrowWithRunLength) {
-  // The same silent run behind the burst preset's injector: its per-copy
-  // filter must not cost an allocation per poll either.
+  // The same silent run behind the burst preset's injector, which offers no
+  // readiness, so every node is polled every tick: the poll handler must fit
+  // std::function's inline buffer, and the injector's per-copy filter must
+  // not cost an allocation per poll either.
   const std::size_t short_run = silent_mux_run_allocations(20.0, "burst");
   const std::size_t long_run = silent_mux_run_allocations(40.0, "burst");
   EXPECT_LE(long_run, short_run)
       << "a 40 s fault-plan run allocated more than a 20 s one: something "
          "in FaultTransport::poll allocates per tick";
+}
+
+/// Counts broadcasts and delivers nothing, so a node driven over it
+/// allocates only what the node itself allocates.
+class NullTransport final : public emu::Transport {
+ public:
+  explicit NullTransport(int nodes) : nodes_(nodes) {}
+  int nodes() const override { return nodes_; }
+  void send(int from, std::span<const std::uint8_t> frame) override {
+    (void)from;
+    (void)frame;
+    ++sent;
+  }
+  std::size_t poll(int to, const Handler& handler) override {
+    (void)to;
+    (void)handler;
+    return 0;
+  }
+  emu::TransportStats stats() const override { return {}; }
+
+  std::size_t sent = 0;
+
+ private:
+  int nodes_;
+};
+
+TEST(AllocRegression, UntracedRelayTransmitIsAllocationFree) {
+  // A relay holding three traced innovative packets recodes a bucketful per
+  // step.  Each transmit names those packets as its span parents; with no
+  // span sink installed that list must not be copied anywhere.
+  const net::Topology topo = net::Topology::from_link_matrix({
+      {0.0, 0.8, 0.6, 0.0},
+      {0.8, 0.0, 0.0, 0.7},
+      {0.6, 0.0, 0.0, 0.9},
+      {0.0, 0.7, 0.9, 0.0},
+  });
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  int relay_local = -1;
+  for (int local = 0; local < graph.size(); ++local) {
+    if (local != graph.source && local != graph.destination) {
+      relay_local = local;
+    }
+  }
+  ASSERT_GE(relay_local, 0);
+  NullTransport transport(graph.size());
+  emu::EmuNodeConfig config;
+  config.coding = coding::CodingParams{8, 64};
+  emu::EmuNode relay(graph, relay_local, transport, config);
+  ASSERT_EQ(relay.role(), protocols::NodeRuntime::Role::kRelay);
+  relay.install_rate(1e5);
+
+  const auto frames = generation_frames(config.coding, 0);
+  relay.step_local(0.5);
+  for (int i = 0; i < 3; ++i) relay.deliver(0.6, graph.source, frames[i]);
+  relay.step_local(0.6);  // warm-up: sizes the transmit frame and buffer
+  const std::size_t warm_sent = transport.sent;
+  ASSERT_GT(warm_sent, 0u);
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  relay.step_local(0.7);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_GT(transport.sent, warm_sent) << "the measured step must transmit";
+  EXPECT_EQ(after - before, 0u)
+      << "an untraced relay's transmitting step must not allocate";
 }
 
 }  // namespace

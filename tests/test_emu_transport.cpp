@@ -1,6 +1,7 @@
-// Emulation transports: loopback determinism/loss/delay/overflow semantics,
-// link-matrix construction from session graphs and topologies, and a UDP
-// localhost smoke (ephemeral ports, round trip, stats).
+// Emulation transports: loopback determinism/loss/delay/overflow semantics
+// and its per-node readiness answer, link-matrix construction from session
+// graphs and topologies, and a UDP localhost smoke (ephemeral ports, round
+// trip, stats).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "emu/loopback_transport.h"
 #include "emu/udp_transport.h"
 #include "net/topology.h"
@@ -176,6 +178,96 @@ TEST(LoopbackTransport, ObserverSeesEveryEvent) {
   EXPECT_EQ(recorder.sends, 2u);
   EXPECT_EQ(recorder.delivers, 1u);
   EXPECT_EQ(recorder.drops, 1u);
+}
+
+TEST(LoopbackTransport, ReadinessIsExactAfterEverySendAndPoll) {
+  // Lossy links and a small inbox: which copies queue depends on the link
+  // RNGs and the inbox bound, so the model below learns each send's losses,
+  // full-inbox drops included, from the observer.
+  struct Drops final : TransportObserver {
+    std::vector<int> to;
+    void on_send(int, std::size_t) override {}
+    void on_drop(int, int dropped_at, std::span<const std::uint8_t>) override {
+      to.push_back(dropped_at);
+    }
+    void on_deliver(int, int, std::size_t) override {}
+  };
+  const net::Topology topo = diamond();
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  const std::vector<double> link_p = link_matrix_from_topology(topo, graph);
+  const int n = graph.size();
+  LoopbackConfig config;
+  config.seed = 11;
+  config.max_inbox = 3;
+  LoopbackTransport transport(n, link_p, config);
+  Drops drops;
+  transport.set_observer(&drops);
+  std::vector<int> all(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) all[static_cast<std::size_t>(i)] = i;
+  const std::unique_ptr<TransportReadiness> readiness =
+      transport.make_readiness(all);
+  ASSERT_NE(readiness, nullptr);
+
+  std::vector<std::size_t> queued(static_cast<std::size_t>(n), 0);
+  Rng ops(5);
+  for (int op = 0; op < 400; ++op) {
+    const auto node =
+        static_cast<int>(ops.next_below(static_cast<std::uint64_t>(n)));
+    if (ops.chance(0.6)) {
+      drops.to.clear();
+      transport.send(node, message(1));
+      for (int to = 0; to < n; ++to) {
+        const std::size_t link = static_cast<std::size_t>(node * n + to);
+        if (to == node || link_p[link] <= 0.0) continue;
+        if (std::count(drops.to.begin(), drops.to.end(), to) == 0) {
+          ++queued[static_cast<std::size_t>(to)];
+        }
+      }
+    } else {
+      EXPECT_EQ(drain_senders(transport, node).size(),
+                queued[static_cast<std::size_t>(node)]);
+      queued[static_cast<std::size_t>(node)] = 0;
+    }
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(readiness->pending(i), queued[static_cast<std::size_t>(i)] > 0)
+          << "node " << i << " after op " << op;
+    }
+  }
+  EXPECT_GT(transport.stats().copies_dropped, 0u);
+}
+
+TEST(LoopbackTransport, QueuedCopyReadsPendingBeforeItIsDue) {
+  vtime::DeterministicClock clock;
+  LoopbackConfig config;
+  config.delay_s = 0.05;
+  LoopbackTransport transport(2, std::vector<double>(4, 1.0), config);
+  transport.bind_clock(&clock);
+  const std::vector<int> watched{0, 1};
+  const std::unique_ptr<TransportReadiness> readiness =
+      transport.make_readiness(watched);
+  EXPECT_FALSE(readiness->pending(1));
+  transport.send(0, message(1));
+  EXPECT_TRUE(readiness->pending(1));
+  EXPECT_FALSE(readiness->pending(0));
+  // Pending is "queued", not "due": the poll finds nothing yet and the copy
+  // stays queued.
+  clock.advance_to(0.04);
+  EXPECT_TRUE(drain_senders(transport, 1).empty());
+  EXPECT_TRUE(readiness->pending(1));
+  clock.advance_to(0.05);
+  EXPECT_EQ(drain_senders(transport, 1), (std::vector<int>{0}));
+  EXPECT_FALSE(readiness->pending(1));
+}
+
+TEST(LoopbackTransport, BatchReadinessDeclinesSoShardsPollEveryNode) {
+  LoopbackTransport transport(3, std::vector<double>(9, 1.0));
+  const std::vector<int> watched{1, 2};
+  const std::unique_ptr<TransportReadiness> readiness =
+      transport.make_readiness(watched);
+  transport.send(0, message(1));
+  std::vector<int> ready;
+  EXPECT_FALSE(readiness->poll_ready(&ready));
+  EXPECT_TRUE(ready.empty());
 }
 
 TEST(LinkMatrix, FromGraphIsSymmetrizedOverDagEdges) {

@@ -1,9 +1,10 @@
 // Session-mux runtime (DESIGN.md §16): S sessions over ONE shared transport
 // must (a) replay byte-identically under the deterministic clock, (b) leave
 // each session's trajectory untouched by its neighbours when the links are
-// lossless (exact equality against S independent single-session runs), and
-// (c) reject malformed, retired-version, or cross-session frames at the
-// demux boundary before any runtime sees them.
+// lossless (exact equality against S independent single-session runs),
+// (c) give the same det run whether or not the transport lets the loop skip
+// idle polls, and (d) reject malformed, retired-version, or cross-session
+// frames at the demux boundary before any runtime sees them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -166,6 +167,76 @@ TEST(SessionMux, LosslessSessionsMatchIndependentSoloRunsExactly) {
     ASSERT_EQ(solo_run.sessions.size(), 1u);
     expect_session_equal(muxed.sessions[static_cast<std::size_t>(s)],
                          solo_run.sessions[0], "solo comparison");
+  }
+}
+
+/// Forwards every call to the wrapped transport but offers no readiness set
+/// (the base make_readiness), so the det loop polls every node every tick.
+class NoReadiness final : public Transport {
+ public:
+  explicit NoReadiness(Transport& inner) : inner_(inner) {}
+  int nodes() const override { return inner_.nodes(); }
+  void send(int from, std::span<const std::uint8_t> frame) override {
+    inner_.send(from, frame);
+  }
+  std::size_t poll(int to, const Handler& handler) override {
+    return inner_.poll(to, handler);
+  }
+  TransportStats stats() const override { return inner_.stats(); }
+  void bind_clock(const vtime::Clock* clock) override {
+    Transport::bind_clock(clock);
+    inner_.bind_clock(clock);
+  }
+
+ private:
+  Transport& inner_;
+};
+
+net::Topology lossy_chain(int hops) {
+  const auto n = static_cast<std::size_t>(hops + 1);
+  std::vector<std::vector<double>> p(n, std::vector<double>(n, 0.0));
+  for (std::size_t i = 0; i + 1 < n; ++i) p[i][i + 1] = p[i + 1][i] = 0.75;
+  return net::Topology::from_link_matrix(p);
+}
+
+/// One det run over the loopback, bare or behind NoReadiness.
+MuxRunResult run_det(const net::Topology& topo, int sessions,
+                     bool poll_every_node) {
+  const routing::SessionGraph graph = routing::select_nodes(
+      topo, 0, static_cast<net::NodeId>(topo.node_count() - 1));
+  const std::unique_ptr<LoopbackTransport> loopback =
+      make_loopback(topo, graph, 3);
+  NoReadiness opaque(*loopback);
+  Transport& transport =
+      poll_every_node ? static_cast<Transport&>(opaque) : *loopback;
+  MuxConfig config;
+  config.emu = det_config(4);
+  config.sessions = sessions;
+  SessionMux mux(graph, transport, config);
+  mux.install_rates(oracle_rates(graph));
+  return mux.run();
+}
+
+TEST(SessionMux, DetLoopSkipsOnlyPollsThatWouldDeliverNothing) {
+  // The det loop polls a node only when the loopback reports a copy queued
+  // for it.  Polling every node every tick instead must give the same run,
+  // field for field, on the lossy diamond with several sessions and on a
+  // chain.
+  const struct {
+    const char* label;
+    net::Topology topo;
+    int sessions;
+  } cases[] = {{"diamond x4", diamond(), 4}, {"chain", lossy_chain(4), 2}};
+  for (const auto& c : cases) {
+    const MuxRunResult every = run_det(c.topo, c.sessions, true);
+    const MuxRunResult ready = run_det(c.topo, c.sessions, false);
+    ASSERT_TRUE(every.completed) << c.label;
+    ASSERT_EQ(ready.sessions.size(), every.sessions.size()) << c.label;
+    for (std::size_t s = 0; s < every.sessions.size(); ++s) {
+      expect_session_equal(ready.sessions[s], every.sessions[s], c.label);
+    }
+    EXPECT_TRUE(ready.transport == every.transport) << c.label;
+    EXPECT_TRUE(ready == every) << c.label;
   }
 }
 
