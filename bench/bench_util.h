@@ -216,6 +216,43 @@ inline void finish_obs(ObsSetup& obs) {
   }
 }
 
+/// Generations each coded protocol completed, summed over the sessions a
+/// figure reports.  A protocol that completed none has no throughput, gain
+/// or steady-state queue to show — a run shorter than the first generation
+/// would print 0.00 (or a start-up transient) as if it were a measurement.
+struct CompletedGenerations {
+  std::size_t sessions = 0;
+  int omnc = 0;
+  int more = 0;
+  int oldmore = 0;
+
+  void add(const experiments::ComparisonResult& result) {
+    ++sessions;
+    omnc += result.omnc.generations_completed;
+    more += result.more.generations_completed;
+    oldmore += result.oldmore.generations_completed;
+  }
+
+  /// Names on stderr, after `scope`, each protocol that completed no
+  /// generation; returns how many did not.
+  int report_unmeasured(const std::string& scope) const {
+    const struct {
+      const char* protocol;
+      int generations;
+    } rows[] = {{"OMNC", omnc}, {"MORE", more}, {"oldMORE", oldmore}};
+    int unmeasured = 0;
+    for (const auto& row : rows) {
+      if (row.generations > 0) continue;
+      std::fprintf(stderr,
+                   "%s: %s completed no generation in %zu sessions; nothing "
+                   "was measured for it (raise --sim-seconds)\n",
+                   scope.c_str(), row.protocol, sessions);
+      ++unmeasured;
+    }
+    return unmeasured;
+  }
+};
+
 inline void print_progress(std::size_t done, std::size_t total) {
   if (done % 10 == 0 || done == total) {
     std::fprintf(stderr, "  ... %zu/%zu sessions\n", done, total);

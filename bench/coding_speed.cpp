@@ -283,6 +283,14 @@ void register_benchmarks() {
                                  codes::CodeSpec::systematic())
         ->Args({64, 1024})
         ->Args({40, 1024});
+    // BM_Decode's truly dense packets through the structured decoder: the
+    // like-for-like per-backend comparison of the two decoders.
+    benchmark::RegisterBenchmark(("BM_DecodeStructuredDense/" + name).c_str(),
+                                 bench_family_decode, backend,
+                                 codes::CodeSpec::dense())
+        ->Args({40, 1024})
+        ->Args({64, 1024})
+        ->Args({16, 256});
     // Third arg: band width (<= g/4 is the BENCH_9 decode-cost target).
     benchmark::RegisterBenchmark(("BM_DecodeBanded/" + name).c_str(),
                                  bench_family_decode, backend,

@@ -4,6 +4,10 @@
 // Paper averages: OMNC 2.45, MORE 1.67, oldMORE 1.12.
 // Right panel: the same deployment at higher transmit power (mean link
 // quality ~0.9): OMNC ~1.12 while MORE and oldMORE fall below 1.
+//
+// Exits nonzero, naming the panel and the protocol, when a panel measured
+// nothing for a protocol: a run too short for any generation to complete
+// would otherwise print gains of 0.00.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -21,6 +25,7 @@ struct PanelResult {
   Cdf more;
   Cdf oldmore;
   OnlineStats etx_abs;
+  bench::CompletedGenerations generations;  // over the CDFs' sessions
 };
 
 PanelResult run_panel(bench::BenchSetup setup, double power_factor) {
@@ -37,8 +42,25 @@ PanelResult run_panel(bench::BenchSetup setup, double power_factor) {
     panel.more.add(r.gain_more);
     panel.oldmore.add(r.gain_oldmore);
     panel.etx_abs.add(r.etx.throughput_bytes_per_s);
+    panel.generations.add(r);
   }
   return panel;
+}
+
+/// Names on stderr each protocol the panel measured nothing for (no live
+/// ETX baseline at all, or a coded protocol that completed no generation);
+/// returns how many there were.
+int report_unmeasured(const char* title, const PanelResult& panel) {
+  const std::string scope =
+      std::string("fig2_throughput_gain: ") + title + " panel";
+  if (panel.generations.sessions == 0) {
+    std::fprintf(stderr,
+                 "%s: ETX delivered nothing in any session; no gain was "
+                 "measured\n",
+                 scope.c_str());
+    return 1;
+  }
+  return panel.generations.report_unmeasured(scope);
 }
 
 void print_panel(const char* title, const PanelResult& panel, double x_max) {
@@ -122,5 +144,7 @@ int main(int argc, char** argv) {
     }
   }
   bench::finish_obs(obs);
-  return 0;
+  const int unmeasured = report_unmeasured("lossy", lossy) +
+                         report_unmeasured("high link quality", high);
+  return unmeasured > 0 ? 1 : 0;
 }

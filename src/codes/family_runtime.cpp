@@ -120,12 +120,9 @@ bool FamilyRecoder::offer(const coding::CodedPacketView& view,
                                     params_.generation_blocks);
   if (!dense_.offer(dense_view)) return false;
   if (!spec_.is_dense()) {
-    // Keep a verbatim copy so the structure survives this relay hop.
-    StoredRow row;
-    row.structure = structure;
-    row.window.assign(view.coefficients.begin(), view.coefficients.end());
-    row.payload.assign(view.payload.begin(), view.payload.end());
-    forward_rows_.push_back(std::move(row));
+    // The row just took the last arena slot; remembering the structure is
+    // enough for it to survive this relay hop.
+    forward_rows_.push_back({structure, dense_.rank() - 1});
   }
   return true;
 }
@@ -137,19 +134,18 @@ void FamilyRecoder::recode_into(Rng& rng, coding::CodedPacket* out,
     *structure = coding::CodedStructure::make_dense();
     return;
   }
-  // Structure-preserving forwarding: re-emit a stored structured row
-  // verbatim, zero RNG draws.
-  const StoredRow& row = forward_rows_[next_forward_++];
+  // Structure-preserving forwarding: re-emit a structured row verbatim from
+  // the arenas (its coefficients were stored expanded), zero RNG draws.
+  const ForwardRow& row = forward_rows_[next_forward_++];
+  const std::span<const std::uint8_t> coefficients =
+      dense_.row_coefficients(row.slot);
+  const std::span<const std::uint8_t> payload = dense_.row_payload(row.slot);
   out->session_id = session_id_;
   out->generation_id = generation_id();
   out->generation_blocks = params_.generation_blocks;
   out->block_bytes = params_.block_bytes;
-  out->coefficients.assign(params_.generation_blocks, 0);
-  coding::expand_coefficients(
-      row.structure,
-      std::span<const std::uint8_t>(row.window.data(), row.window.size()),
-      params_.generation_blocks, out->coefficients.data());
-  out->payload.assign(row.payload.begin(), row.payload.end());
+  out->coefficients.assign(coefficients.begin(), coefficients.end());
+  out->payload.assign(payload.begin(), payload.end());
   *structure = row.structure;
 }
 
@@ -220,10 +216,6 @@ std::size_t FamilyDecoder::rank() const {
 
 bool FamilyDecoder::complete() const {
   return dense_ ? dense_->complete() : structured_->complete();
-}
-
-std::size_t FamilyDecoder::packets_seen() const {
-  return dense_ ? dense_->packets_seen() : structured_->packets_seen();
 }
 
 std::vector<std::uint8_t> FamilyDecoder::recover() const {

@@ -23,7 +23,7 @@
 //                          random start would leave column 0 uncovered with
 //                          probability (1-1/(n-w+1))^k after k packets);
 //   dense recode         — rank() byte draws;
-//   structured forward   — 0 draws (a stored row re-emitted verbatim).
+//   structured forward   — 0 draws (an arena row re-emitted verbatim).
 // All-zero draws are repaired deterministically (never re-drawn).
 #pragma once
 
@@ -82,9 +82,10 @@ class FamilyRecoder {
                 std::uint32_t generation_id, const CodeSpec& spec);
 
   /// Considers an incoming packet (with its structure side channel).
-  /// Returns true iff it was innovative.  Non-dense specs additionally keep
-  /// a verbatim copy of innovative *structured* rows for structure-
-  /// preserving forwarding.
+  /// Returns true iff it was innovative.  Non-dense specs additionally
+  /// remember the structure of innovative *structured* rows for structure-
+  /// preserving forwarding; the row's bytes live once, in the dense
+  /// recoder's arenas.
   bool offer(const coding::CodedPacketView& view,
              const coding::CodedStructure& structure);
 
@@ -94,27 +95,29 @@ class FamilyRecoder {
   std::uint32_t generation_id() const { return dense_.generation_id(); }
 
   /// Emits one packet.  Dense spec: delegates to Recoder::recode_into
-  /// byte-for-byte.  Non-dense: stored structured rows are forwarded
-  /// verbatim first (zero draws, structure preserved, so the compression
-  /// and the downstream structured fast paths survive one relay hop); once
-  /// drained, falls back to dense recoding over the full basis.
+  /// byte-for-byte.  Non-dense: stored structured rows are re-emitted
+  /// verbatim from the recoder's arenas first (zero draws, structure
+  /// preserved, so the compression and the downstream structured fast
+  /// paths survive one relay hop); once drained, falls back to dense
+  /// recoding over the full basis.
   void recode_into(Rng& rng, coding::CodedPacket* out,
                    coding::CodedStructure* structure);
 
   void reset(std::uint32_t generation_id);
 
  private:
-  struct StoredRow {
+  /// A structured row awaiting its verbatim forward: its structure and its
+  /// slot in the dense recoder's insertion-order arenas.
+  struct ForwardRow {
     coding::CodedStructure structure;
-    std::vector<std::uint8_t> window;  // explicit coefficients (kWindow)
-    std::vector<std::uint8_t> payload;
+    std::size_t slot;
   };
 
   coding::Recoder dense_;
   coding::CodingParams params_;
   std::uint32_t session_id_;
   CodeSpec spec_;
-  std::vector<StoredRow> forward_rows_;  // non-dense spec only
+  std::vector<ForwardRow> forward_rows_;  // non-dense spec only
   std::size_t next_forward_ = 0;
   std::vector<std::uint8_t> scratch_coeffs_;  // dense expansion for offers
 };
@@ -136,7 +139,6 @@ class FamilyDecoder {
   std::uint32_t generation_id() const;
   std::size_t rank() const;
   bool complete() const;
-  std::size_t packets_seen() const;
 
   std::vector<std::uint8_t> recover() const;
   std::size_t recovered_size() const;

@@ -53,8 +53,6 @@ class StructuredDecoder {
   std::uint32_t generation_id() const { return generation_id_; }
   std::size_t rank() const { return rank_; }
   bool complete() const { return rank_ == params_.generation_blocks; }
-  std::size_t packets_seen() const { return stats_.offered; }
-  std::size_t packets_innovative() const { return stats_.innovative; }
 
   /// Pivot column claimed by the last innovative offer, -1 otherwise.
   int last_pivot() const { return last_pivot_; }

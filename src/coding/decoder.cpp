@@ -27,20 +27,6 @@ bool ProgressiveDecoder::offer(const CodedPacketView& view) {
   return rref_.insert(view.coefficients.data(), view.payload.data());
 }
 
-const std::uint8_t* ProgressiveDecoder::decoded_block(std::size_t index) const {
-  OMNC_ASSERT(index < params_.generation_blocks);
-  const std::uint8_t* coeffs = rref_.coefficients_for_pivot(index);
-  if (coeffs == nullptr) return nullptr;
-  // The block is decoded when its row's coefficient part is the unit vector:
-  // pivot normalized to 1 and every other coefficient zero.  Only then is
-  // the deferred payload elimination for this row worth running.
-  for (std::size_t c = 0; c < params_.generation_blocks; ++c) {
-    const std::uint8_t expected = (c == index) ? 1 : 0;
-    if (coeffs[c] != expected) return nullptr;
-  }
-  return rref_.payload_for_pivot(index);
-}
-
 std::vector<std::uint8_t> ProgressiveDecoder::recover() const {
   std::vector<std::uint8_t> out(params_.generation_bytes());
   recover_into(std::span<std::uint8_t>(out));
@@ -52,8 +38,7 @@ void ProgressiveDecoder::recover_into(std::span<std::uint8_t> out) const {
   OMNC_ASSERT(out.size() == params_.generation_bytes());
   // In a complete basis every row's coefficient part is a unit vector, so
   // the row with pivot b is exactly block b: one blocked elimination pass
-  // writes the whole generation in place, skipping the materialization
-  // cache and the per-block unit-vector scans of the decoded_block path.
+  // writes the whole generation in place.
   rref_.materialize_into(out.data());
 }
 

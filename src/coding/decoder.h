@@ -43,11 +43,6 @@ class ProgressiveDecoder {
   /// Pivot column claimed by the last innovative offer, -1 otherwise.
   int last_pivot() const { return rref_.last_insert_pivot(); }
 
-  /// Block `index` if it has already been fully decoded (its row is a unit
-  /// coefficient vector); nullptr otherwise.  All blocks qualify once
-  /// complete() holds.
-  const std::uint8_t* decoded_block(std::size_t index) const;
-
   /// Concatenated original generation bytes; requires complete().
   std::vector<std::uint8_t> recover() const;
 
@@ -55,9 +50,8 @@ class ProgressiveDecoder {
   std::size_t recovered_size() const { return params_.generation_bytes(); }
 
   /// Allocation-free recovery: eliminates every payload straight into
-  /// `out` (exactly recovered_size() bytes) in one source-blocked pass —
-  /// no materialization cache bounce, no per-block unit-vector scans, no
-  /// concatenation copy.  Requires complete().
+  /// `out` (exactly recovered_size() bytes) in one source-blocked pass, with
+  /// no concatenation copy.  Requires complete().
   void recover_into(std::span<std::uint8_t> out) const;
 
   /// Drops all state and retargets a new generation.

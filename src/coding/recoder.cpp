@@ -32,6 +32,19 @@ bool Recoder::offer(const CodedPacketView& view) {
   return true;
 }
 
+std::span<const std::uint8_t> Recoder::row_coefficients(
+    std::size_t slot) const {
+  OMNC_ASSERT(slot < rank());
+  const std::size_t n = params_.generation_blocks;
+  return {basis_coeffs_.data() + slot * n, n};
+}
+
+std::span<const std::uint8_t> Recoder::row_payload(std::size_t slot) const {
+  OMNC_ASSERT(slot < rank());
+  const std::size_t m = params_.block_bytes;
+  return {basis_payloads_.data() + slot * m, m};
+}
+
 CodedPacket Recoder::recode(Rng& rng) const {
   CodedPacket out;
   recode_into(rng, &out);

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "coding/coded_packet.h"
@@ -48,6 +49,12 @@ class Recoder {
   std::size_t rank() const { return filter_.rank(); }
   bool is_full() const { return filter_.complete(); }
   std::uint32_t generation_id() const { return generation_id_; }
+
+  /// Coefficients (n bytes) and payload (m bytes) of the `slot`-th
+  /// innovative packet of this generation, exactly as offered.  Requires
+  /// slot < rank(); valid until the next offer() or reset().
+  std::span<const std::uint8_t> row_coefficients(std::size_t slot) const;
+  std::span<const std::uint8_t> row_payload(std::size_t slot) const;
 
   /// Emits a re-encoded packet: a random combination of the basis.
   /// Requires can_send().

@@ -90,10 +90,9 @@ bool RrefAccumulator::insert(const std::uint8_t* coefficients,
     gf::region_mul(sc, sc, gf::inv(pivot_value), width);
   }
   // Back-substitute the new pivot out of existing rows (coefficients and
-  // transforms; payload elimination is deferred, so any cached
-  // materialization of a touched row goes stale).  One source into many
-  // short destinations is the scatter kernel's shape — a single call
-  // instead of rank_ per-row axpys.
+  // transforms; payload elimination is deferred to materialize_into).  One
+  // source into many short destinations is the scatter kernel's shape — a
+  // single call instead of rank_ per-row axpys.
   elim_dsts_.clear();
   elim_factors_.clear();
   for (const BasisRow& basis : rows_) {
@@ -102,7 +101,6 @@ bool RrefAccumulator::insert(const std::uint8_t* coefficients,
     if (factor != 0) {
       elim_dsts_.push_back(existing);
       elim_factors_.push_back(factor);
-      if (track_payload) cache_valid_[basis.index] = 0;
     }
   }
   if (!elim_dsts_.empty()) {
@@ -115,8 +113,6 @@ bool RrefAccumulator::insert(const std::uint8_t* coefficients,
   std::memcpy(basis_.data() + slot * stride_, sc, width);
   if (track_payload) {
     raw_.insert(raw_.end(), payload, payload + payload_bytes_);
-    cache_.resize(cache_.size() + payload_bytes_);
-    cache_valid_.push_back(0);
   }
   const BasisRow entry{pivot, slot};
   const auto pos = std::lower_bound(
@@ -129,81 +125,12 @@ bool RrefAccumulator::insert(const std::uint8_t* coefficients,
   return true;
 }
 
-bool RrefAccumulator::insert(const std::vector<std::uint8_t>& row) {
-  OMNC_ASSERT(row.size() == row_bytes());
-  return insert(row.data(), payload_bytes_ > 0 ? row.data() + pivot_cols_
-                                               : nullptr);
-}
-
-bool RrefAccumulator::would_be_innovative(
-    const std::uint8_t* coefficients) const {
-  std::uint8_t* sc = scratch_.data();
-  std::memcpy(sc, coefficients, pivot_cols_);
-  // Same order-independence argument as in insert: gather the factors, then
-  // one batched sweep over the coefficient blocks only.
-  elim_srcs_.resize(rank_);
-  elim_factors_.resize(rank_);
-  std::size_t active = 0;
-  for (const BasisRow& basis : rows_) {
-    const std::uint8_t factor = sc[basis.pivot];
-    if (factor != 0) {
-      elim_srcs_[active] = basis_row(basis.index);
-      elim_factors_[active] = factor;
-      ++active;
-    }
-  }
-  if (active > 0) {
-    gf::region_axpy_many(sc, elim_srcs_.data(), elim_factors_.data(), active,
-                         pivot_cols_);
-  }
-  return std::any_of(sc, sc + pivot_cols_,
-                     [](std::uint8_t b) { return b != 0; });
-}
-
 const std::uint8_t* RrefAccumulator::coefficients_for_pivot(
     std::size_t pivot) const {
   OMNC_ASSERT(pivot < pivot_cols_);
   const int index = pivot_to_row_[pivot];
   if (index < 0) return nullptr;
   return basis_row(static_cast<std::size_t>(index));
-}
-
-const std::uint8_t* RrefAccumulator::payload_for_pivot(
-    std::size_t pivot) const {
-  OMNC_ASSERT(pivot < pivot_cols_);
-  if (payload_bytes_ == 0) return nullptr;
-  const int index = pivot_to_row_[pivot];
-  if (index < 0) return nullptr;
-  return materialize(static_cast<std::size_t>(index));
-}
-
-void RrefAccumulator::materialize_payloads() const {
-  if (payload_bytes_ == 0) return;
-  bool any_stale = false;
-  for (std::size_t i = 0; i < rank_; ++i) {
-    if (!cache_valid_[i]) {
-      any_stale = true;
-      std::memset(cache_.data() + i * payload_bytes_, 0, payload_bytes_);
-    }
-  }
-  if (!any_stale) return;
-  OMNC_SCOPED_TIMER("coding/rref_materialize");
-  src_ptrs_.resize(rank_);
-  for (std::size_t k = 0; k < rank_; ++k) src_ptrs_[k] = raw_row(k);
-  // Source-blocked sweep: each group of <=4 raw payloads is applied to every
-  // stale destination row before moving on, so the group stays resident in
-  // cache for rank_ destination passes (the per-row path instead re-streams
-  // the entire raw arena for each destination).
-  for (std::size_t k = 0; k < rank_; k += 4) {
-    const std::size_t group = std::min<std::size_t>(4, rank_ - k);
-    for (std::size_t i = 0; i < rank_; ++i) {
-      if (cache_valid_[i]) continue;
-      const std::uint8_t* u = basis_row(i) + pivot_cols_ + k;
-      gf::region_axpy_many(cache_.data() + i * payload_bytes_,
-                           src_ptrs_.data() + k, u, group, payload_bytes_);
-    }
-  }
-  for (std::size_t i = 0; i < rank_; ++i) cache_valid_[i] = 1;
 }
 
 void RrefAccumulator::materialize_into(std::uint8_t* out) const {
@@ -213,10 +140,12 @@ void RrefAccumulator::materialize_into(std::uint8_t* out) const {
   std::memset(out, 0, pivot_cols_ * payload_bytes_);
   src_ptrs_.resize(rank_);
   for (std::size_t k = 0; k < rank_; ++k) src_ptrs_[k] = raw_row(k);
-  // Same source-blocked sweep as materialize_payloads, but the destination
-  // for pivot p is out + p * payload_bytes_ instead of the cache row — the
-  // caller gets the concatenated generation without a second copy.  The
-  // cache is left untouched (rows already materialized stay valid).
+  // Source-blocked sweep: each group of <=4 raw payloads is applied to
+  // every destination row before moving on, so the group stays resident in
+  // cache for pivot_cols_ destination passes instead of the whole raw arena
+  // being re-streamed per row.  The destination for pivot p is
+  // out + p * payload_bytes_, so the caller gets the concatenated
+  // generation without a second copy.
   for (std::size_t k = 0; k < rank_; k += 4) {
     const std::size_t group = std::min<std::size_t>(4, rank_ - k);
     for (std::size_t p = 0; p < pivot_cols_; ++p) {
@@ -229,24 +158,6 @@ void RrefAccumulator::materialize_into(std::uint8_t* out) const {
   }
 }
 
-const std::uint8_t* RrefAccumulator::materialize(std::size_t index) const {
-  std::uint8_t* dst = cache_.data() + index * payload_bytes_;
-  if (cache_valid_[index]) return dst;
-  OMNC_SCOPED_TIMER("coding/rref_materialize");
-  // The deferred elimination, batched: the row's payload is the transform's
-  // combination of raw payloads, folded 4 (then 2) sources per destination
-  // pass by the fused kernels.  raw_ may have been reallocated by later
-  // inserts, so refresh the source pointer list every time (rank_ entries,
-  // trivial next to the payload work).
-  const std::uint8_t* u = basis_row(index) + pivot_cols_;
-  std::memset(dst, 0, payload_bytes_);
-  src_ptrs_.resize(rank_);
-  for (std::size_t k = 0; k < rank_; ++k) src_ptrs_[k] = raw_row(k);
-  gf::region_axpy_many(dst, src_ptrs_.data(), u, rank_, payload_bytes_);
-  cache_valid_[index] = 1;
-  return dst;
-}
-
 void RrefAccumulator::clear() {
   rank_ = 0;
   last_insert_pivot_ = -1;
@@ -254,8 +165,6 @@ void RrefAccumulator::clear() {
   std::fill(pivot_to_row_.begin(), pivot_to_row_.end(), -1);
   basis_.clear();
   raw_.clear();
-  cache_.clear();
-  cache_valid_.clear();
 }
 
 }  // namespace omnc::coding

@@ -8,10 +8,11 @@
 // so rank/innovation decisions are always exact.  Payloads are stored raw in
 // a flat arena, exactly as received, and the accumulator instead maintains a
 // transform row per basis row — the GF(256) combination of raw payloads that
-// the eliminated payload *would* be.  The expensive payload-width
-// back-substitution is deferred until a decoded payload is actually read
-// (payload_for_pivot / the decoder's decoded_block / recover), where it runs
-// as one batched elimination through the fused region_axpy2/4 kernels.
+// the eliminated payload *would* be.  The payload-width elimination runs
+// once, after the basis is complete: materialize_into (the decoder's
+// recover / recover_into) writes the whole generation into the caller's
+// buffer in one batched pass through the fused region_axpy2/4 kernels.  It
+// is the only way payload leaves the basis.
 //
 // Why this wins: rejecting a non-innovative row touches coefficients only
 // (never the payload), insert cost drops from O(rank * row_bytes) to
@@ -20,16 +21,16 @@
 // for every axpy.  Decoded bytes are bit-identical to the eager scheme — GF
 // arithmetic is exact and the decoded blocks are unique.
 //
-// Storage is two contiguous arenas plus a lazily filled materialization
-// cache; no per-row std::vector.  The basis arena packs each row as
-// [coefficients | transform] so one fused axpy drives both during
-// elimination; the payload arena holds raw payloads in insertion order.
-// Because the basis is kept in reduced form, each stored row has zeros in
-// every other row's pivot column, so the forward-elimination factors are
-// order-independent — the whole sweep is gathered up front and batched
-// through region_axpy_many (4, then 2, sources per destination pass).
-// Not thread-safe: the mutable scratch and cache assume one caller at a
-// time, which matches the per-node simulation model.
+// Storage is two contiguous arenas, each payload held once; no per-row
+// std::vector.  The basis arena packs each row as [coefficients |
+// transform] so one fused axpy drives both during elimination; the payload
+// arena holds raw payloads in insertion order.  Because the basis is kept
+// in reduced form, each stored row has zeros in every other row's pivot
+// column, so the forward-elimination factors are order-independent — the
+// whole sweep is gathered up front and batched through region_axpy_many (4,
+// then 2, sources per destination pass).  Not thread-safe: the scratch
+// vectors assume one caller at a time, which matches the per-node
+// simulation model.
 #pragma once
 
 #include <cstddef>
@@ -57,14 +58,6 @@ class RrefAccumulator {
   /// when payload_bytes() == 0 (the coefficient-only innovation filter).
   bool insert(const std::uint8_t* coefficients, const std::uint8_t* payload);
 
-  /// Convenience overload over a packed [coefficients | payload] row of
-  /// row_bytes() bytes.
-  bool insert(const std::vector<std::uint8_t>& row);
-
-  /// Checks innovation without mutating the basis: reduces a scratch copy of
-  /// just the coefficient part (no allocation; reuses a member buffer).
-  bool would_be_innovative(const std::uint8_t* coefficients) const;
-
   /// Pivot column claimed by the most recent successful insert(), or -1 if
   /// no insert has succeeded since construction/clear() or the last offer
   /// was rejected.  Feeds the per-packet "pv" trace field.
@@ -74,23 +67,12 @@ class RrefAccumulator {
   /// whose pivot is `pivot`, or nullptr if absent.
   const std::uint8_t* coefficients_for_pivot(std::size_t pivot) const;
 
-  /// Eliminated payload (payload_bytes bytes) of that basis row, or nullptr
-  /// if the row is absent or payload_bytes() == 0.  Materializes the row on
-  /// demand (cached until a later insert touches the row); logically const.
-  const std::uint8_t* payload_for_pivot(std::size_t pivot) const;
-
-  /// Materializes every stale row in one source-blocked pass: the raw
-  /// payloads are walked in groups of up to four that stay cache-hot across
-  /// all destination rows, instead of streaming the whole raw arena once per
-  /// row.  Bulk readers (the decoder's recover) call this before reading;
-  /// results are identical to per-row materialization.  Logically const.
-  void materialize_payloads() const;
-
-  /// Full-rank bulk read: eliminates every payload directly into `out`
-  /// (pivot_cols() * payload_bytes() bytes, pivot-major), bypassing the
-  /// per-row cache entirely.  In a complete basis the row with pivot p *is*
-  /// decoded block p, so this writes the recovered generation in one
-  /// source-blocked sweep with no intermediate copy and no allocation.
+  /// Full-rank read: eliminates every payload directly into `out`
+  /// (pivot_cols() * payload_bytes() bytes, pivot-major).  In a complete
+  /// basis the row with pivot p *is* decoded block p, so this writes the
+  /// recovered generation in one source-blocked sweep — the raw payloads
+  /// are walked in groups of up to four that stay cache-hot across every
+  /// destination row — with no intermediate copy and no allocation.
   /// Requires complete() and payload_bytes() > 0.
   void materialize_into(std::uint8_t* out) const;
 
@@ -114,9 +96,6 @@ class RrefAccumulator {
     return raw_.data() + index * payload_bytes_;
   }
 
-  /// Runs the deferred payload elimination for one basis row.
-  const std::uint8_t* materialize(std::size_t index) const;
-
   std::size_t pivot_cols_;
   std::size_t payload_bytes_;
   std::size_t stride_;             // bytes per basis-arena row
@@ -126,13 +105,11 @@ class RrefAccumulator {
   std::vector<int> pivot_to_row_;  // pivot -> arena row slot, -1 when absent
   std::vector<std::uint8_t> basis_;  // rank x stride, coefficients reduced
   std::vector<std::uint8_t> raw_;    // rank x payload_bytes, as received
-  mutable std::vector<std::uint8_t> cache_;        // rank x payload_bytes
-  mutable std::vector<std::uint8_t> cache_valid_;  // per row slot, 0/1
-  mutable std::vector<std::uint8_t> scratch_;      // one basis-arena row
-  mutable std::vector<const std::uint8_t*> elim_srcs_;   // batched sweep srcs
-  mutable std::vector<std::uint8_t> elim_factors_;       // batched sweep factors
-  mutable std::vector<std::uint8_t*> elim_dsts_;         // back-subst targets
-  mutable std::vector<const std::uint8_t*> src_ptrs_;    // raw-row pointers
+  std::vector<std::uint8_t> scratch_;              // one basis-arena row
+  std::vector<const std::uint8_t*> elim_srcs_;     // batched sweep srcs
+  std::vector<std::uint8_t> elim_factors_;         // batched sweep factors
+  std::vector<std::uint8_t*> elim_dsts_;           // back-subst targets
+  mutable std::vector<const std::uint8_t*> src_ptrs_;  // raw-row pointers
 };
 
 }  // namespace omnc::coding

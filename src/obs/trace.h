@@ -33,7 +33,7 @@
 namespace omnc::obs {
 
 /// Schema 2 added packet-lifecycle "span" records and serialized "hist"
-/// histogram records; the reader accepts 1 and 2.
+/// histogram records; the reader accepts only this version.
 inline constexpr int kTraceSchemaVersion = 2;
 
 /// Per-run manifest data written into the run_begin record.

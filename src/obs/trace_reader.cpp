@@ -355,8 +355,7 @@ bool read_trace(const std::string& path, Trace* out, std::string* error) {
       out->tool = record.text("tool");
       out->params = record.text("params");
       out->seed = record.u64("seed");
-      // Schema 1 traces (pre-span/hist) remain readable.
-      if (out->schema < 1 || out->schema > kTraceSchemaVersion) {
+      if (out->schema != kTraceSchemaVersion) {
         char msg[64];
         std::snprintf(msg, sizeof(msg), "unsupported trace schema %d",
                       out->schema);

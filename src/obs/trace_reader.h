@@ -28,10 +28,9 @@ struct RecordedRun {
   /// sink consults it).
   std::vector<routing::SessionGraph> graphs;
   std::vector<protocols::MetricEvent> events;
-  /// Packet-lifecycle span events in recorded (tap-serialized) order
-  /// (schema >= 2; empty for older traces).
+  /// Packet-lifecycle span events in recorded (tap-serialized) order.
   std::vector<SpanEvent> spans;
-  /// Named latency histograms recorded at end of run (schema >= 2).
+  /// Named latency histograms recorded at end of run.
   std::vector<std::pair<std::string, Histogram>> histograms;
   /// Rate-control iterates in recorded order (Fig. 1 convergence curve).
   std::vector<double> opt_gamma;

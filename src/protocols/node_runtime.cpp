@@ -202,8 +202,4 @@ std::size_t NodeRuntime::rank() const {
   return 0;  // unreachable
 }
 
-const codes::StructuredDecoder::Stats* NodeRuntime::structured_stats() const {
-  return role_ == Role::kDestination ? decoder_->structured_stats() : nullptr;
-}
-
 }  // namespace omnc::protocols

@@ -133,10 +133,6 @@ class NodeRuntime {
 
   std::size_t rank() const;
 
-  /// Destination only: structured-decoder statistics (nullptr under the
-  /// dense spec).
-  const codes::StructuredDecoder::Stats* structured_stats() const;
-
  private:
   NodeRuntime(Role role, const coding::CodingParams& params,
               std::uint32_t session_id, std::uint64_t data_seed,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/assert.h"
@@ -221,11 +222,13 @@ void SessionEngine::on_slot(sim::Time now) {
       if (wanted <= 0) continue;
       for (int k = 0; k < wanted; ++k) {
         net::Frame frame;
-        coding::CodedPacket packet = node.next_packet(rng_, &frame.structure);
+        node.next_packet_into(rng_, &tx_packet_, &frame.structure);
+        auto bytes =
+            std::make_shared<std::vector<std::uint8_t>>(tx_packet_.wire_size());
+        tx_packet_.serialize_to(*bytes);
         frame.from = graph.node_id(local);
         frame.to = net::kBroadcast;
-        frame.bytes = std::make_shared<const std::vector<std::uint8_t>>(
-            packet.serialize());
+        frame.bytes = std::move(bytes);
         if (!mac_->enqueue(std::move(frame))) {
           break;  // queue full (MacTap counted the drop); stop for this slot
         }
@@ -284,14 +287,15 @@ void SessionEngine::on_receive_frame(net::NodeId rx, const net::Frame& frame) {
     }
   }
 
-  coding::CodedPacket packet;
-  const bool ok = coding::CodedPacket::parse(*frame.bytes, &packet);
+  // The view aliases the frame's bytes, which the MAC keeps alive for the
+  // whole handler; the runtime copies what it keeps before returning.
+  coding::CodedPacketView view;
+  const bool ok = coding::CodedPacketView::parse(*frame.bytes, &view);
   OMNC_ASSERT_MSG(ok, "malformed frame on the air");
 
   // The sim's bytes are always the dense wire form, but the frame's
   // structure side channel keeps the structured decoders' fast paths alive;
   // the view is re-sliced to the structure's explicit coefficient bytes.
-  coding::CodedPacketView view = packet.as_view();
   switch (frame.structure.kind) {
     case coding::CodedStructure::Kind::kDense:
       break;
@@ -318,11 +322,12 @@ void SessionEngine::on_receive_frame(net::NodeId rx, const net::Frame& frame) {
   if (rx_local == graph.destination && outcome.generation_complete) {
     // End-to-end integrity: the progressively decoded generation must be
     // byte-identical to what the source encoded.
-    const auto recovered = node.recover();
+    recovered_.resize(node.recovered_size());
+    node.recover_into(std::span<std::uint8_t>(recovered_));
     const NodeRuntime& source =
         state.runtimes[static_cast<std::size_t>(graph.source)];
     OMNC_ASSERT_MSG(
-        std::equal(recovered.begin(), recovered.end(),
+        std::equal(recovered_.begin(), recovered_.end(),
                    source.generation().bytes().begin()),
         "decoded generation does not match the source data");
     const double ack_time = simulator_.now() + state.ack_delay_s;

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "coding/coded_packet.h"
 #include "common/rng.h"
 #include "net/mac.h"
 #include "net/topology.h"
@@ -129,6 +130,10 @@ class SessionEngine {
   std::vector<Session> sessions_;
   MetricsBus bus_;
   MacTap mac_tap_;
+  // Reused across slots and receptions: the packet a node emits into before
+  // it is serialized into its frame, and the destination's decode check.
+  coding::CodedPacket tx_packet_;
+  std::vector<std::uint8_t> recovered_;
 };
 
 }  // namespace omnc::protocols

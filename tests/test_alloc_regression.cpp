@@ -1,6 +1,7 @@
 // Allocation-count regression: the steady-state receive paths — wire bytes
 // -> DataFrameView -> RREF offer -> recover_into at the destination, and
-// view offer -> recode_into -> serialize_into at a relay — must not touch
+// view offer -> recode_into -> serialize_into at a relay (a structured
+// relay's verbatim forwards included) — must not touch
 // the heap at all once first-generation warm-up has sized every arena and
 // scratch vector.  Global operator new/delete are replaced with counting
 // versions; each test drives one full generation inside a counting window
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "codes/code_spec.h"
+#include "codes/family_runtime.h"
 #include "coding/coded_packet.h"
 #include "coding/decoder.h"
 #include "coding/encoder.h"
@@ -202,6 +204,93 @@ TEST(AllocRegression, SteadyStateRelayPathIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "steady-state offer -> recode_into -> serialize_into must not "
          "allocate";
+}
+
+/// One generation of a family encoder's emissions, each with its structure
+/// (enough packets for a relay to reach full rank).
+struct FamilyFrames {
+  std::vector<coding::CodedPacket> packets;
+  std::vector<coding::CodedStructure> structures;
+
+  /// The view a receiver gets for packet i: the structure's explicit
+  /// coefficient bytes only, as the compact wire parse yields them.
+  coding::CodedPacketView view(std::size_t i) const {
+    coding::CodedPacketView view = packets[i].as_view();
+    const coding::CodedStructure& structure = structures[i];
+    switch (structure.kind) {
+      case coding::CodedStructure::Kind::kDense:
+        break;
+      case coding::CodedStructure::Kind::kUncoded:
+        view.coefficients = {};
+        break;
+      case coding::CodedStructure::Kind::kWindow:
+        view.coefficients =
+            view.coefficients.subspan(structure.offset, structure.width);
+        break;
+    }
+    return view;
+  }
+};
+
+FamilyFrames family_frames(const coding::CodingParams& params,
+                           const codes::CodeSpec& spec,
+                           std::uint32_t generation_id) {
+  const coding::Generation gen =
+      coding::Generation::synthetic(generation_id, params, 7);
+  codes::FamilyEncoder encoder(gen, 1, spec);
+  codes::FamilyRecoder probe(params, 1, generation_id, spec);
+  Rng rng(200 + generation_id);
+  FamilyFrames frames;
+  while (!probe.is_full()) {
+    frames.packets.emplace_back();
+    frames.structures.emplace_back();
+    encoder.next_packet_into(rng, &frames.packets.back(),
+                             &frames.structures.back());
+    probe.offer(frames.view(frames.packets.size() - 1),
+                frames.structures.back());
+  }
+  return frames;
+}
+
+TEST(AllocRegression, StructuredRelayPathIsAllocationFree) {
+  // A structured relay forwards its innovative rows verbatim, so the row
+  // bytes must be kept where the innovation filter already keeps them (the
+  // recoder's arenas), not in a second per-row heap copy.
+  const coding::CodingParams params{8, 64};
+  for (const codes::CodeSpec& spec :
+       {codes::CodeSpec::systematic(), codes::CodeSpec::banded(2)}) {
+    const FamilyFrames warmup = family_frames(params, spec, 0);
+    const FamilyFrames steady = family_frames(params, spec, 1);
+    codes::FamilyRecoder relay(params, 1, 0, spec);
+    Rng recode_rng(9);
+    coding::CodedPacket out;
+    coding::CodedStructure out_structure;
+    std::size_t forwards = 0;
+
+    const auto drive = [&](const FamilyFrames& frames) {
+      forwards = 0;
+      for (std::size_t i = 0; i < frames.packets.size(); ++i) {
+        relay.offer(frames.view(i), frames.structures[i]);
+        if (!relay.can_send()) continue;
+        relay.recode_into(recode_rng, &out, &out_structure);
+        if (!out_structure.dense()) ++forwards;
+      }
+    };
+
+    drive(warmup);
+    ASSERT_TRUE(relay.is_full()) << spec.name();
+    relay.reset(1);
+
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    drive(steady);
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_TRUE(relay.is_full()) << spec.name();
+    EXPECT_GT(forwards, 0u) << spec.name() << ": no structured forward ran";
+    EXPECT_EQ(after - before, 0u)
+        << spec.name()
+        << ": steady-state structured offer -> recode_into must not allocate";
+  }
 }
 
 TEST(AllocRegression, SourceGenerationTurnoverIsAllocationFree) {

@@ -66,29 +66,20 @@ TEST_F(DecoderTest, DimensionMismatchRejected) {
   EXPECT_FALSE(decoder.offer(pkt));
 }
 
-TEST_F(DecoderTest, SystematicPacketsDecodeImmediately) {
+TEST_F(DecoderTest, SystematicPacketsRecoverOriginal) {
+  // Unit-vector packets are each innovative, and n of them decode the
+  // generation.
   ProgressiveDecoder decoder(params_, 1);
   for (std::size_t b = 0; b < params_.generation_blocks; ++b) {
     std::vector<std::uint8_t> unit(params_.generation_blocks, 0);
     unit[b] = 1;
     ASSERT_TRUE(decoder.offer(encoder_.packet_with_coefficients(unit)));
-    // Each systematic packet decodes its block on the fly.
-    const std::uint8_t* block = decoder.decoded_block(b);
-    ASSERT_NE(block, nullptr);
-    EXPECT_TRUE(std::equal(block, block + params_.block_bytes, gen_.block(b)));
+    EXPECT_EQ(decoder.last_pivot(), static_cast<int>(b));
   }
-  EXPECT_TRUE(decoder.complete());
-}
-
-TEST_F(DecoderTest, PartiallyDecodedBlocksReportedNullUntilResolved) {
-  ProgressiveDecoder decoder(params_, 1);
-  // One random (dense) packet: no block is individually decodable yet.
-  decoder.offer(encoder_.next_packet(rng_));
-  int resolved = 0;
-  for (std::size_t b = 0; b < params_.generation_blocks; ++b) {
-    if (decoder.decoded_block(b) != nullptr) ++resolved;
-  }
-  EXPECT_EQ(resolved, 0);
+  ASSERT_TRUE(decoder.complete());
+  const auto recovered = decoder.recover();
+  EXPECT_TRUE(std::equal(recovered.begin(), recovered.end(),
+                         gen_.bytes().begin()));
 }
 
 TEST_F(DecoderTest, ResetRetargetsGeneration) {

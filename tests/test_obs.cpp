@@ -266,6 +266,25 @@ TEST(TraceRoundTrip, UnreadableFileAndBadSchemaAreErrors) {
   std::remove(path.c_str());
 }
 
+TEST(TraceRoundTrip, SchemaOneManifestIsRejected) {
+  // Nothing writes schema 1 any more; the reader takes only the current
+  // version, so an old trace fails loudly instead of replaying without its
+  // span and histogram records.
+  const std::string path = temp_trace_path("schema1.jsonl");
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  ASSERT_NE(file, nullptr);
+  std::fputs("{\"t\":\"manifest\",\"schema\":1,\"build\":\"x\","
+             "\"tool\":\"test_obs\",\"params\":\"\",\"seed\":1}\n",
+             file);
+  std::fclose(file);
+  Trace trace;
+  std::string error;
+  EXPECT_FALSE(read_trace(path, &trace, &error));
+  EXPECT_NE(error.find("unsupported trace schema 1"), std::string::npos)
+      << error;
+  std::remove(path.c_str());
+}
+
 // --- Live run vs offline replay ------------------------------------------
 
 TEST(TraceReplay, DiamondOmncReplayMatchesLiveRunExactly) {

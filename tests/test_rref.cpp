@@ -15,30 +15,38 @@ std::vector<std::uint8_t> row_of(std::initializer_list<int> values) {
   return row;
 }
 
+/// Inserts a packed [coefficients | payload] row of row_bytes() bytes.
+bool insert_row(RrefAccumulator& acc, const std::vector<std::uint8_t>& row) {
+  EXPECT_EQ(row.size(), acc.row_bytes());
+  return acc.insert(row.data(), acc.payload_bytes() > 0
+                                    ? row.data() + acc.pivot_cols()
+                                    : nullptr);
+}
+
 TEST(Rref, AcceptsIndependentRejectsDependent) {
   RrefAccumulator acc(3, 3);
-  EXPECT_TRUE(acc.insert(row_of({1, 0, 0})));
-  EXPECT_TRUE(acc.insert(row_of({0, 1, 0})));
-  EXPECT_FALSE(acc.insert(row_of({1, 1, 0})));  // in the span
+  EXPECT_TRUE(insert_row(acc, row_of({1, 0, 0})));
+  EXPECT_TRUE(insert_row(acc, row_of({0, 1, 0})));
+  EXPECT_FALSE(insert_row(acc, row_of({1, 1, 0})));  // in the span
   EXPECT_EQ(acc.rank(), 2u);
-  EXPECT_TRUE(acc.insert(row_of({5, 7, 9})));
+  EXPECT_TRUE(insert_row(acc, row_of({5, 7, 9})));
   EXPECT_TRUE(acc.complete());
 }
 
 TEST(Rref, DuplicateRowRejected) {
   RrefAccumulator acc(4, 4);
-  EXPECT_TRUE(acc.insert(row_of({2, 3, 4, 5})));
-  EXPECT_FALSE(acc.insert(row_of({2, 3, 4, 5})));
+  EXPECT_TRUE(insert_row(acc, row_of({2, 3, 4, 5})));
+  EXPECT_FALSE(insert_row(acc, row_of({2, 3, 4, 5})));
   // A scalar multiple is also dependent.
   std::vector<std::uint8_t> scaled(4);
   const auto base = row_of({2, 3, 4, 5});
   for (int i = 0; i < 4; ++i) scaled[i] = gf::mul(base[i], 0x3D);
-  EXPECT_FALSE(acc.insert(scaled));
+  EXPECT_FALSE(insert_row(acc, scaled));
 }
 
 TEST(Rref, ZeroRowRejected) {
   RrefAccumulator acc(3, 3);
-  EXPECT_FALSE(acc.insert(row_of({0, 0, 0})));
+  EXPECT_FALSE(insert_row(acc, row_of({0, 0, 0})));
   EXPECT_EQ(acc.rank(), 0u);
 }
 
@@ -50,7 +58,7 @@ TEST(Rref, MaintainsReducedForm) {
   while (!acc.complete()) {
     std::vector<std::uint8_t> row(8);
     for (auto& b : row) b = rng.next_byte();
-    acc.insert(row);
+    insert_row(acc, row);
   }
   for (std::size_t pivot = 0; pivot < 8; ++pivot) {
     const std::uint8_t* row = acc.coefficients_for_pivot(pivot);
@@ -62,8 +70,10 @@ TEST(Rref, MaintainsReducedForm) {
 }
 
 TEST(Rref, PayloadFollowsRowOperations) {
-  // Rows carry [coefficients | payload]; when complete, the (lazily
-  // materialized) payload for pivot i must equal the i-th original block.
+  // Rows carry [coefficients | payload]; when complete, materialize_into
+  // must write the i-th original block at pivot i.  The output buffer's
+  // prior contents must not leak into the result, and reading does not
+  // disturb the basis: two reads into a garbage-filled buffer agree.
   Rng rng(4);
   const gf::Matrix blocks = gf::Matrix::random(5, 13, rng);
   RrefAccumulator acc(5, 5 + 13);
@@ -78,76 +88,15 @@ TEST(Rref, PayloadFollowsRowOperations) {
         row[5 + k] = gf::add(row[5 + k], gf::mul(c, blocks.at(b, k)));
       }
     }
-    acc.insert(row);
+    insert_row(acc, row);
   }
-  for (std::size_t b = 0; b < 5; ++b) {
-    const std::uint8_t* payload = acc.payload_for_pivot(b);
-    ASSERT_NE(payload, nullptr);
-    for (std::size_t k = 0; k < 13; ++k) {
-      EXPECT_EQ(payload[k], blocks.at(b, k));
-    }
-  }
-}
-
-TEST(Rref, LazyPayloadSurvivesInterleavedReads) {
-  // Reading a payload mid-decode materializes it; later inserts that
-  // back-substitute into that row must invalidate the cached bytes and
-  // re-materialize correctly on the next read.
-  Rng rng(11);
-  const std::size_t n = 6;
-  const std::size_t m = 32;
-  const gf::Matrix blocks = gf::Matrix::random(n, m, rng);
-  RrefAccumulator acc(n, n + m);
-  std::size_t inserted = 0;
-  while (!acc.complete()) {
-    std::vector<std::uint8_t> row(n + m, 0);
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::uint8_t c = rng.next_byte();
-      row[b] = c;
-      for (std::size_t k = 0; k < m; ++k) {
-        row[n + k] = gf::add(row[n + k], gf::mul(c, blocks.at(b, k)));
+  for (int read = 0; read < 2; ++read) {
+    std::vector<std::uint8_t> out(5 * 13, 0xA5);
+    acc.materialize_into(out.data());
+    for (std::size_t b = 0; b < 5; ++b) {
+      for (std::size_t k = 0; k < 13; ++k) {
+        EXPECT_EQ(out[b * 13 + k], blocks.at(b, k)) << "read " << read;
       }
-    }
-    if (acc.insert(row)) ++inserted;
-    // Poke every available payload after every insert: forces repeated
-    // materialization and cache invalidation along the way.
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::uint8_t* payload = acc.payload_for_pivot(p);
-      if (acc.coefficients_for_pivot(p) == nullptr) {
-        EXPECT_EQ(payload, nullptr);
-      } else {
-        EXPECT_NE(payload, nullptr);
-      }
-    }
-  }
-  EXPECT_EQ(inserted, n);
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::uint8_t* payload = acc.payload_for_pivot(b);
-    ASSERT_NE(payload, nullptr);
-    for (std::size_t k = 0; k < m; ++k) {
-      EXPECT_EQ(payload[k], blocks.at(b, k));
-    }
-  }
-}
-
-TEST(Rref, PointerInsertMatchesVectorInsert) {
-  Rng rng(21);
-  RrefAccumulator via_vector(4, 4 + 9);
-  RrefAccumulator via_pointers(4, 4 + 9);
-  for (int i = 0; i < 12; ++i) {
-    std::vector<std::uint8_t> row(13);
-    for (auto& b : row) b = rng.next_byte();
-    const bool a = via_vector.insert(row);
-    const bool b = via_pointers.insert(row.data(), row.data() + 4);
-    EXPECT_EQ(a, b);
-  }
-  EXPECT_EQ(via_vector.rank(), via_pointers.rank());
-  for (std::size_t p = 0; p < 4; ++p) {
-    const std::uint8_t* pa = via_vector.payload_for_pivot(p);
-    const std::uint8_t* pb = via_pointers.payload_for_pivot(p);
-    ASSERT_EQ(pa == nullptr, pb == nullptr);
-    if (pa != nullptr) {
-      EXPECT_TRUE(std::equal(pa, pa + 9, pb));
     }
   }
 }
@@ -156,7 +105,7 @@ TEST(Rref, CoefficientOnlyAccumulatorHasNoPayload) {
   RrefAccumulator acc(3, 3);  // the relay innovation-filter shape
   EXPECT_EQ(acc.payload_bytes(), 0u);
   ASSERT_TRUE(acc.insert(row_of({1, 2, 3}).data(), nullptr));
-  EXPECT_EQ(acc.payload_for_pivot(0), nullptr);
+  EXPECT_EQ(acc.rank(), 1u);
   EXPECT_NE(acc.coefficients_for_pivot(0), nullptr);
 }
 
@@ -166,61 +115,37 @@ TEST(Rref, InsertAfterCompleteIsRejected) {
   while (!acc.complete()) {
     std::vector<std::uint8_t> row(4);
     for (auto& b : row) b = rng.next_byte();
-    acc.insert(row);
+    insert_row(acc, row);
   }
   std::vector<std::uint8_t> extra(4);
   for (auto& b : extra) b = rng.next_byte();
-  EXPECT_FALSE(acc.insert(extra));
+  EXPECT_FALSE(insert_row(acc, extra));
   EXPECT_EQ(acc.rank(), 4u);
-}
-
-TEST(Rref, WouldBeInnovativeDoesNotMutate) {
-  RrefAccumulator acc(3, 3);
-  ASSERT_TRUE(acc.insert(row_of({1, 2, 3})));
-  const auto candidate = row_of({0, 5, 6});
-  EXPECT_TRUE(acc.would_be_innovative(candidate.data()));
-  EXPECT_EQ(acc.rank(), 1u);  // unchanged
-  const auto dependent = row_of({1, 2, 3});
-  EXPECT_FALSE(acc.would_be_innovative(dependent.data()));
-  EXPECT_EQ(acc.rank(), 1u);
-}
-
-TEST(Rref, WouldBeInnovativeAgreesWithInsertUnderChurn) {
-  // The scratch buffer is reused across calls; interleaving checks and
-  // inserts must never corrupt either.
-  Rng rng(17);
-  RrefAccumulator acc(8, 8);
-  for (int i = 0; i < 200 && !acc.complete(); ++i) {
-    std::vector<std::uint8_t> row(8);
-    for (auto& b : row) b = rng.next_byte();
-    const bool predicted = acc.would_be_innovative(row.data());
-    const bool inserted = acc.insert(row);
-    EXPECT_EQ(predicted, inserted);
-  }
-  EXPECT_TRUE(acc.complete());
 }
 
 TEST(Rref, ClearResetsState) {
   RrefAccumulator acc(2, 2);
-  ASSERT_TRUE(acc.insert(row_of({1, 1})));
+  ASSERT_TRUE(insert_row(acc, row_of({1, 1})));
   acc.clear();
   EXPECT_EQ(acc.rank(), 0u);
   EXPECT_EQ(acc.coefficients_for_pivot(0), nullptr);
-  EXPECT_TRUE(acc.insert(row_of({1, 1})));  // accepted again after clear
+  EXPECT_TRUE(insert_row(acc, row_of({1, 1})));  // accepted again after clear
 }
 
 TEST(Rref, ClearResetsPayloadArenas) {
+  // A payload inserted before clear() must not surface in the next
+  // generation's decode.
   RrefAccumulator acc(3, 3 + 5);
-  std::vector<std::uint8_t> row = {1, 0, 0, 9, 8, 7, 6, 5};
-  ASSERT_TRUE(acc.insert(row));
-  ASSERT_NE(acc.payload_for_pivot(0), nullptr);
+  ASSERT_TRUE(insert_row(acc, {1, 0, 0, 9, 8, 7, 6, 5}));
   acc.clear();
-  EXPECT_EQ(acc.payload_for_pivot(0), nullptr);
-  ASSERT_TRUE(acc.insert(row));
-  const std::uint8_t* payload = acc.payload_for_pivot(0);
-  ASSERT_NE(payload, nullptr);
-  EXPECT_EQ(payload[0], 9);
-  EXPECT_EQ(payload[4], 5);
+  EXPECT_EQ(acc.rank(), 0u);
+  ASSERT_TRUE(insert_row(acc, {1, 0, 0, 1, 2, 3, 4, 5}));
+  ASSERT_TRUE(insert_row(acc, {0, 1, 0, 6, 7, 8, 9, 10}));
+  ASSERT_TRUE(insert_row(acc, {0, 0, 1, 11, 12, 13, 14, 15}));
+  std::vector<std::uint8_t> out(3 * 5);
+  acc.materialize_into(out.data());
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                            11, 12, 13, 14, 15}));
 }
 
 TEST(Rref, RankNeverExceedsPivotColumns) {
@@ -229,7 +154,7 @@ TEST(Rref, RankNeverExceedsPivotColumns) {
   for (int i = 0; i < 100; ++i) {
     std::vector<std::uint8_t> row(4);
     for (auto& b : row) b = rng.next_byte();
-    acc.insert(row);
+    insert_row(acc, row);
     EXPECT_LE(acc.rank(), 4u);
   }
   EXPECT_TRUE(acc.complete());

@@ -494,7 +494,7 @@ int print_timeline(const obs::Trace& trace, const Options& options) {
     if (!check.complete) status = 1;
   }
   if (!any_spans) {
-    std::printf("no span records in trace (schema < 2 or tracing off)\n");
+    std::printf("no span records in trace (tracing off)\n");
   }
   return status;
 }
@@ -546,7 +546,7 @@ void print_codes(const obs::Trace& trace, const Options& options) {
   if (printed) {
     std::printf("%s\n", table.render().c_str());
   } else {
-    std::printf("no span records in trace (schema < 2 or tracing off)\n");
+    std::printf("no span records in trace (tracing off)\n");
   }
 }
 
