@@ -16,9 +16,11 @@
 //                       summary table at exit
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -216,37 +218,55 @@ inline void finish_obs(ObsSetup& obs) {
   }
 }
 
-/// Generations each coded protocol completed, summed over the sessions a
-/// figure reports.  A protocol that completed none has no throughput, gain
-/// or steady-state queue to show — a run shorter than the first generation
-/// would print 0.00 (or a start-up transient) as if it were a measurement.
+/// Generations each coded protocol completed, summed over the sessions one
+/// figure, panel or table row reports.  A protocol that completed none has
+/// no throughput, gain or steady-state queue to show — a run shorter than
+/// the first generation would print 0.00 (or a start-up transient) as if it
+/// were a measurement.
 struct CompletedGenerations {
-  std::size_t sessions = 0;
-  int omnc = 0;
-  int more = 0;
-  int oldmore = 0;
+  struct Tally {
+    const char* protocol;
+    std::size_t sessions = 0;
+    int generations = 0;
+  };
+  std::vector<Tally> tallies;  // one per protocol, in the order first added
 
-  void add(const experiments::ComparisonResult& result) {
-    ++sessions;
-    omnc += result.omnc.generations_completed;
-    more += result.more.generations_completed;
-    oldmore += result.oldmore.generations_completed;
+  /// One session of `protocol` (a string literal naming it).
+  void add(const char* protocol, const protocols::SessionResult& result) {
+    auto it = std::find_if(tallies.begin(), tallies.end(),
+                           [&](const Tally& t) {
+                             return std::string_view(t.protocol) == protocol;
+                           });
+    if (it == tallies.end()) it = tallies.insert(it, Tally{protocol});
+    ++it->sessions;
+    it->generations += result.generations_completed;
   }
 
-  /// Names on stderr, after `scope`, each protocol that completed no
-  /// generation; returns how many did not.
+  /// One session of each coded protocol run_comparison runs by default.
+  void add(const experiments::ComparisonResult& result) {
+    add("OMNC", result.omnc);
+    add("MORE", result.more);
+    add("oldMORE", result.oldmore);
+  }
+
+  /// Names on stderr, after `scope`, a row that measured no session at all
+  /// (no session had a live baseline) and each protocol that completed no
+  /// generation; returns how many there were.
   int report_unmeasured(const std::string& scope) const {
-    const struct {
-      const char* protocol;
-      int generations;
-    } rows[] = {{"OMNC", omnc}, {"MORE", more}, {"oldMORE", oldmore}};
+    if (tallies.empty()) {
+      std::fprintf(stderr,
+                   "%s: no session had a live baseline; nothing was "
+                   "measured\n",
+                   scope.c_str());
+      return 1;
+    }
     int unmeasured = 0;
-    for (const auto& row : rows) {
-      if (row.generations > 0) continue;
+    for (const Tally& tally : tallies) {
+      if (tally.generations > 0) continue;
       std::fprintf(stderr,
                    "%s: %s completed no generation in %zu sessions; nothing "
                    "was measured for it (raise --sim-seconds)\n",
-                   scope.c_str(), row.protocol, sessions);
+                   scope.c_str(), tally.protocol, tally.sessions);
       ++unmeasured;
     }
     return unmeasured;

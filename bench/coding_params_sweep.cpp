@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"generation", "coeff overhead", "OMNC B/s", "gain vs ETX",
                    "generations/session"});
+  int unmeasured = 0;
   for (const Geometry& g : geometries) {
     RunConfig run = base.run;
     run.protocol.coding.generation_blocks = static_cast<std::uint16_t>(g.blocks);
@@ -51,14 +52,18 @@ int main(int argc, char** argv) {
     run.run_oldmore = false;
     const auto results = run_all(sessions, run);
     OnlineStats omnc, gain, generations;
+    bench::CompletedGenerations completed;
     for (const auto& r : results) {
       if (r.etx.throughput_bytes_per_s <= 0.0) continue;
       omnc.add(r.omnc.throughput_per_generation);
       gain.add(r.gain_omnc);
       generations.add(r.omnc.generations_completed);
+      completed.add("OMNC", r.omnc);
     }
     char name[32];
     std::snprintf(name, sizeof(name), "%d x %d B", g.blocks, g.bytes);
+    unmeasured += completed.report_unmeasured(
+        std::string("coding_params_sweep: ") + name + " row");
     char overhead[32];
     std::snprintf(overhead, sizeof(overhead), "%.1f%%",
                   100.0 * (g.blocks + 12.0) /
@@ -75,5 +80,5 @@ int main(int argc, char** argv) {
       "the ACK machinery too often; fatter blocks cut coefficient overhead\n"
       "at the cost of per-packet latency.\n");
   bench::finish_obs(obs);
-  return 0;
+  return unmeasured > 0 ? 1 : 0;
 }

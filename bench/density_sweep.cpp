@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"density", "mean degree", "|selected|", "ETX B/s",
                    "gain OMNC", "gain MORE", "gain oldMORE"});
+  int unmeasured = 0;
   for (double density : {4.0, 6.0, 8.0, 10.0}) {
     WorkloadConfig wc = base.workload;
     wc.deployment.density = density;
@@ -31,6 +32,7 @@ int main(int argc, char** argv) {
     const auto sessions = generate_workload(wc);
     const auto results = run_all(sessions, base.run);
     OnlineStats etx, omnc, more, oldmore, selected;
+    bench::CompletedGenerations generations;
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
       if (r.etx.throughput_bytes_per_s <= 0.0) continue;
@@ -39,7 +41,10 @@ int main(int argc, char** argv) {
       more.add(r.gain_more);
       oldmore.add(r.gain_oldmore);
       selected.add(sessions[i].graph.size());
+      generations.add(r);
     }
+    unmeasured += generations.report_unmeasured(
+        "density_sweep: density " + TextTable::fmt(density, 0) + " row");
     table.add_row({TextTable::fmt(density, 0),
                    TextTable::fmt(sessions[0].topology->mean_neighbor_count(), 1),
                    TextTable::fmt(selected.mean(), 1),
@@ -56,5 +61,5 @@ int main(int argc, char** argv) {
       "expected to hold or grow with density while single-path ETX gains\n"
       "nothing from the extra nodes.\n");
   bench::finish_obs(obs);
-  return 0;
+  return unmeasured > 0 ? 1 : 0;
 }

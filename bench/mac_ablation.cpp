@@ -55,11 +55,13 @@ int main(int argc, char** argv) {
   const auto sessions = generate_workload(base.workload);
   TextTable table({"variant", "ETX B/s", "gain OMNC", "gain MORE",
                    "gain oldMORE", "q OMNC", "q MORE"});
+  int unmeasured = 0;
   for (const auto& variant : variants) {
     RunConfig run = base.run;
     variant.tweak(run);
     const auto results = run_all(sessions, run);
     OnlineStats etx, omnc, more, oldmore, q_omnc, q_more;
+    bench::CompletedGenerations generations;
     for (const auto& r : results) {
       if (r.etx.throughput_bytes_per_s <= 0.0) continue;
       etx.add(r.etx.throughput_bytes_per_s);
@@ -68,7 +70,10 @@ int main(int argc, char** argv) {
       oldmore.add(r.gain_oldmore);
       q_omnc.add(r.omnc.mean_queue);
       q_more.add(r.more.mean_queue);
+      generations.add(r);
     }
+    unmeasured += generations.report_unmeasured(
+        std::string("mac_ablation: ") + variant.name);
     table.add_row({variant.name, TextTable::fmt(etx.mean(), 0),
                    TextTable::fmt(omnc.mean(), 2),
                    TextTable::fmt(more.mean(), 2),
@@ -84,5 +89,5 @@ int main(int argc, char** argv) {
       "of real 802.11 meshes; each idealization above moves the baseline\n"
       "closer to (or past) the coded protocols.  See EXPERIMENTS.md.\n");
   bench::finish_obs(obs);
-  return 0;
+  return unmeasured > 0 ? 1 : 0;
 }

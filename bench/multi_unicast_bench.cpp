@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   OnlineStats joint_min, joint_aggregate, alone_mean, lp_min, fairness;
   OnlineStats rc_iters;
   int decoded_everywhere = 0;
+  bench::CompletedGenerations joint_generations, alone_generations;
   for (int batch = 0; batch < batches; ++batch) {
     std::vector<const routing::SessionGraph*> graphs;
     for (int j = 0; j < k; ++j) {
@@ -83,6 +84,7 @@ int main(int argc, char** argv) {
     double best = 0.0;
     double worst = 1e18;
     for (const auto& s : joint.sessions) {
+      joint_generations.add("OMNC", s);
       all = all && s.generations_completed > 0;
       best = std::max(best, s.throughput_per_generation);
       worst = std::min(worst, s.throughput_per_generation);
@@ -97,7 +99,9 @@ int main(int argc, char** argv) {
       pc.seed = spec.seed ^ 0x77;
       protocols::OmncProtocol alone(*spec.topology, spec.graph, pc,
                                     protocols::OmncConfig{});
-      alone_mean.add(alone.run().throughput_per_generation);
+      const protocols::SessionResult result = alone.run();
+      alone_mean.add(result.throughput_per_generation);
+      alone_generations.add("OMNC", result);
     }
     std::fprintf(stderr, "  batch %d/%d done\n", batch + 1, batches);
   }
@@ -129,5 +133,10 @@ int main(int argc, char** argv) {
       "aggregate stays within the single-session ballpark while no session\n"
       "starves (the paper's Sec. 6 multiple-unicast extension).\n");
   bench::finish_obs(obs);
-  return 0;
+  const int unmeasured =
+      joint_generations.report_unmeasured(
+          "multi_unicast_bench: concurrent sessions") +
+      alone_generations.report_unmeasured(
+          "multi_unicast_bench: single-session (alone) runs");
+  return unmeasured > 0 ? 1 : 0;
 }

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
 
   OnlineStats oracle_omnc, probed_omnc, oracle_more, probed_more;
   OnlineStats probe_error, probe_seconds;
+  bench::CompletedGenerations oracle_generations, probed_generations;
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const auto& spec = sessions[i];
     const ComparisonResult oracle = run_comparison(spec, setup.run);
@@ -59,6 +60,10 @@ int main(int argc, char** argv) {
     probed_more.add(measured.more.throughput_per_generation);
     probe_error.add(probed.mean_abs_error);
     probe_seconds.add(probed.probe_seconds);
+    oracle_generations.add("OMNC", oracle.omnc);
+    oracle_generations.add("MORE", oracle.more);
+    probed_generations.add("OMNC", measured.omnc);
+    probed_generations.add("MORE", measured.more);
   }
 
   TextTable table({"metric", "oracle links", "measured links", "ratio"});
@@ -79,5 +84,10 @@ int main(int argc, char** argv) {
       "shape check: rate control planned on estimates keeps OMNC within a\n"
       "few percent of the oracle plan — link probing (Sec. 4) is adequate.\n");
   bench::finish_obs(obs);
-  return 0;
+  const int unmeasured =
+      oracle_generations.report_unmeasured(
+          "probe_robustness: oracle links column") +
+      probed_generations.report_unmeasured(
+          "probe_robustness: measured links column");
+  return unmeasured > 0 ? 1 : 0;
 }

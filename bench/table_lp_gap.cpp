@@ -18,6 +18,7 @@ struct GapResult {
   OnlineStats emulated;
   OnlineStats optimized;
   OnlineStats ratio;
+  bench::CompletedGenerations generations;  // OMNC, over the ratio's sessions
 };
 
 GapResult run_point(bench::BenchSetup setup, double power_factor) {
@@ -35,6 +36,7 @@ GapResult run_point(bench::BenchSetup setup, double power_factor) {
     gap.emulated.add(r.omnc.throughput_per_generation);
     gap.optimized.add(r.lp_gamma);
     gap.ratio.add(r.omnc.throughput_per_generation / r.lp_gamma);
+    gap.generations.add("OMNC", r.omnc);
   }
   return gap;
 }
@@ -69,5 +71,8 @@ int main(int argc, char** argv) {
       "%.2f\n",
       1.0 - lossy.ratio.mean(), 1.0 - high.ratio.mean());
   bench::finish_obs(obs);
-  return 0;
+  const int unmeasured =
+      lossy.generations.report_unmeasured("table_lp_gap: lossy row") +
+      high.generations.report_unmeasured("table_lp_gap: high quality row");
+  return unmeasured > 0 ? 1 : 0;
 }

@@ -331,15 +331,6 @@ void FaultTransport::bind_clock(const vtime::Clock* clock) {
   inner_.bind_clock(clock);
 }
 
-void FaultTransport::set_time_source(std::function<double()> now) {
-  time_source_ = std::move(now);
-}
-
-double FaultTransport::now() const {
-  if (time_source_) return time_source_();
-  return clock_now();
-}
-
 bool FaultTransport::in_blackout(int node, double t) const {
   for (const Blackout& blackout : plan_.blackouts) {
     if (blackout.node == node && t >= blackout.start_s && t < blackout.end_s) {
@@ -387,7 +378,7 @@ void FaultTransport::deliver(int from, int to,
 }
 
 void FaultTransport::send(int from, std::span<const std::uint8_t> frame) {
-  const double t = now();
+  const double t = clock_now();
   if (in_blackout(from, t)) {
     // A crashed node transmits nothing; the frame is never offered to the
     // channel, so frames_sent does not count it.
@@ -470,7 +461,7 @@ std::size_t FaultTransport::admit(int from, int to,
 }
 
 std::size_t FaultTransport::poll(int to, const Handler& handler) {
-  const double t = now();
+  const double t = clock_now();
   const bool rx_dead = in_blackout(to, t);
   // The handler captures one pointer to this frame's state, so
   // std::function keeps it inline instead of allocating on every poll

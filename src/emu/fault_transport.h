@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,10 +163,6 @@ class FaultTransport final : public Transport, private TransportObserver {
   /// can never disagree by a scheduling-jitter epsilon).
   void bind_clock(const vtime::Clock* clock) override;
 
-  /// Tests override the clock entirely; the function must be callable from
-  /// any node thread and return non-decreasing virtual seconds.
-  void set_time_source(std::function<double()> now);
-
   const FaultPlan& plan() const { return plan_; }
   FaultStats fault_stats() const;
 
@@ -198,7 +193,6 @@ class FaultTransport final : public Transport, private TransportObserver {
   void on_deliver(int from, int to, std::size_t bytes) override;
   void on_truncated(int from, int to, std::size_t claimed_bytes) override;
 
-  double now() const;
   bool in_blackout(int node, double t) const;
   bool partition_cuts(int from, int to, double t) const;
   void emit_fault(FaultRecord::Kind kind, int from, int to,
@@ -216,8 +210,6 @@ class FaultTransport final : public Transport, private TransportObserver {
   FaultPlan plan_;
   std::vector<LinkState> links_;      // n*n, row-major [from * n + to]
   std::vector<std::vector<Held>> held_;  // per receiver, sorted by due
-
-  std::function<double()> time_source_;
 
   std::atomic<std::size_t> lost_{0};
   std::atomic<std::size_t> duplicated_{0};

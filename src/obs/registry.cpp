@@ -1,38 +1,11 @@
 #include "obs/registry.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <memory>
-#include <mutex>
+#include <cstdio>
 
-#include "common/assert.h"
 #include "common/table.h"
 
 namespace omnc::obs {
 namespace {
-
-std::size_t bucket_of(std::uint64_t ns) {
-  if (ns <= 1) return 0;
-  const std::size_t b = static_cast<std::size_t>(63 - __builtin_clzll(ns));
-  return std::min(b, Timer::kBuckets - 1);
-}
-
-void atomic_min(std::atomic<std::uint64_t>& target, std::uint64_t value) {
-  std::uint64_t current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
-  std::uint64_t current = target.load(std::memory_order_relaxed);
-  while (value > current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 std::string format_ns(double ns) {
   char buffer[32];
@@ -51,163 +24,73 @@ std::string format_ns(double ns) {
 }  // namespace
 
 void Timer::record_ns(std::uint64_t ns) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_ns_.fetch_add(ns, std::memory_order_relaxed);
-  atomic_min(min_ns_, ns);
-  atomic_max(max_ns_, ns);
-  buckets_[bucket_of(ns)].fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  total_ns_ += ns;
+  seconds_.record(static_cast<double>(ns) / 1e9);
 }
 
-std::uint64_t Timer::min_ns() const {
-  const std::uint64_t value = min_ns_.load(std::memory_order_relaxed);
-  return value == ~0ull ? 0 : value;
+std::uint64_t Timer::count() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return seconds_.count();
 }
 
-double Timer::quantile_ns(double q) const {
-  const std::uint64_t total = count();
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += bucket(b);
-    if (static_cast<double>(seen) >= target) {
-      // Geometric midpoint of [2^b, 2^{b+1}).
-      return std::exp2(static_cast<double>(b) + 0.5);
-    }
-  }
-  return static_cast<double>(max_ns());
+std::uint64_t Timer::total_ns() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return total_ns_;
+}
+
+Histogram Timer::histogram() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return seconds_;
 }
 
 void Timer::reset() {
-  count_.store(0, std::memory_order_relaxed);
-  total_ns_.store(0, std::memory_order_relaxed);
-  min_ns_.store(~0ull, std::memory_order_relaxed);
-  max_ns_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  total_ns_ = 0;
+  seconds_ = Histogram();
 }
 
 std::atomic<bool> MetricsRegistry::enabled_{false};
-
-struct MetricsRegistry::Impl {
-  // Node-based maps keep instrument addresses stable across registrations.
-  mutable std::mutex mutex;
-  std::map<std::string, std::unique_ptr<Counter>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges;
-  std::map<std::string, std::unique_ptr<Timer>> timers;
-};
-
-MetricsRegistry::MetricsRegistry() : impl_(new Impl) {}
-MetricsRegistry::~MetricsRegistry() { delete impl_; }
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  OMNC_ASSERT_MSG(impl_->gauges.count(name) == 0 &&
-                      impl_->timers.count(name) == 0,
-                  "metric name already registered as another kind");
-  auto& slot = impl_->counters[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  OMNC_ASSERT_MSG(impl_->counters.count(name) == 0 &&
-                      impl_->timers.count(name) == 0,
-                  "metric name already registered as another kind");
-  auto& slot = impl_->gauges[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Timer& MetricsRegistry::timer(const std::string& name) {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  OMNC_ASSERT_MSG(impl_->counters.count(name) == 0 &&
-                      impl_->gauges.count(name) == 0,
-                  "metric name already registered as another kind");
-  auto& slot = impl_->timers[name];
-  if (slot == nullptr) slot = std::make_unique<Timer>();
-  return *slot;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return timers_.try_emplace(name).first->second;
 }
 
-std::vector<MetricRow> MetricsRegistry::rows() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<MetricRow> out;
-  out.reserve(impl_->counters.size() + impl_->gauges.size() +
-              impl_->timers.size());
-  for (const auto& [name, counter] : impl_->counters) {
-    MetricRow row;
-    row.name = name;
-    row.kind = "counter";
-    row.count = counter->value();
-    out.push_back(std::move(row));
+std::vector<std::pair<std::string, Histogram>> MetricsRegistry::timers()
+    const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::pair<std::string, Histogram>> out;
+  out.reserve(timers_.size());
+  for (const auto& [name, timer] : timers_) {
+    out.emplace_back(name, timer.histogram());
   }
-  for (const auto& [name, gauge] : impl_->gauges) {
-    MetricRow row;
-    row.name = name;
-    row.kind = "gauge";
-    row.value = gauge->value();
-    out.push_back(std::move(row));
-  }
-  for (const auto& [name, timer] : impl_->timers) {
-    MetricRow row;
-    row.name = name;
-    row.kind = "timer";
-    row.count = timer->count();
-    row.value = static_cast<double>(timer->total_ns()) / 1e9;
-    row.min_ns = timer->min_ns();
-    row.max_ns = timer->max_ns();
-    row.p50_ns = timer->quantile_ns(0.5);
-    row.p99_ns = timer->quantile_ns(0.99);
-    row.buckets.reserve(Timer::kBuckets);
-    for (std::size_t b = 0; b < Timer::kBuckets; ++b) {
-      row.buckets.push_back(timer->bucket(b));
-    }
-    out.push_back(std::move(row));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const MetricRow& a, const MetricRow& b) { return a.name < b.name; });
   return out;
 }
 
 std::string MetricsRegistry::summary() const {
-  TextTable table({"metric", "kind", "count", "total", "mean", "p50", "p99",
-                   "min", "max"});
-  for (const MetricRow& row : rows()) {
-    if (row.kind == "counter") {
-      table.add_row({row.name, row.kind, std::to_string(row.count), "-", "-",
-                     "-", "-", "-", "-"});
-    } else if (row.kind == "gauge") {
-      table.add_row({row.name, row.kind, "-", TextTable::fmt(row.value), "-",
-                     "-", "-", "-", "-"});
-    } else {
-      const double total_ns = row.value * 1e9;
-      const double mean_ns =
-          row.count > 0 ? total_ns / static_cast<double>(row.count) : 0.0;
-      table.add_row({row.name, row.kind, std::to_string(row.count),
-                     format_ns(total_ns), format_ns(mean_ns),
-                     format_ns(row.p50_ns), format_ns(row.p99_ns),
-                     format_ns(static_cast<double>(row.min_ns)),
-                     format_ns(static_cast<double>(row.max_ns))});
-    }
+  TextTable table({"timer", "count", "total", "mean", "p50", "p99", "min",
+                   "max"});
+  for (const auto& [name, seconds] : timers()) {
+    table.add_row({name, std::to_string(seconds.count()),
+                   format_ns(1e9 * seconds.sum()),
+                   format_ns(1e9 * seconds.mean()),
+                   format_ns(1e9 * seconds.quantile(50.0)),
+                   format_ns(1e9 * seconds.quantile(99.0)),
+                   format_ns(1e9 * seconds.min()),
+                   format_ns(1e9 * seconds.max())});
   }
   return table.render();
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (auto& [name, counter] : impl_->counters) counter->reset();
-  for (auto& [name, gauge] : impl_->gauges) gauge->reset();
-  for (auto& [name, timer] : impl_->timers) timer->reset();
-}
-
-std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->counters.size() + impl_->gauges.size() + impl_->timers.size();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [name, timer] : timers_) timer.reset();
 }
 
 }  // namespace omnc::obs

@@ -1,109 +1,47 @@
-// Process-wide metrics registry: named counters, gauges, and wall-clock
-// timers with fixed power-of-two latency buckets.
+// Process-wide metrics registry: named wall-clock timers whose durations
+// land in an obs::Histogram (obs/histogram.h), the one histogram type the
+// tree uses for every latency.
 //
-// Hot paths register an instrument once (a function-local static reference)
-// and then touch it with relaxed atomics, so instrumentation is safe from
-// thread_pool workers without locks.  The whole registry sits behind a
+// Hot paths register a timer once (a function-local static reference) and
+// then record into it under the timer's own mutex, so thread_pool workers
+// and shard threads may time concurrently.  The whole registry sits behind a
 // single global enabled flag: when profiling is off (the default), a
 // ScopedTimer costs one relaxed atomic load and never reads the clock, which
 // keeps the encode/recode/decode/RREF/simplex probes out of the fixed-seed
 // regression's way — they observe wall time only, never simulation state.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/histogram.h"
 
 namespace omnc::obs {
 
-/// Monotonic event count.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written value (e.g. a configuration knob or a final level).
-class Gauge {
- public:
-  void set(double value) {
-    bits_.store(bit_cast_to_u64(value), std::memory_order_relaxed);
-  }
-  double value() const {
-    return bit_cast_to_double(bits_.load(std::memory_order_relaxed));
-  }
-  void reset() { set(0.0); }
-
- private:
-  static std::uint64_t bit_cast_to_u64(double d) {
-    std::uint64_t u;
-    static_assert(sizeof(u) == sizeof(d));
-    __builtin_memcpy(&u, &d, sizeof(u));
-    return u;
-  }
-  static double bit_cast_to_double(std::uint64_t u) {
-    double d;
-    __builtin_memcpy(&d, &u, sizeof(d));
-    return d;
-  }
-  std::atomic<std::uint64_t> bits_{0};
-};
-
-/// Wall-clock duration accumulator: count / total / min / max plus a fixed
-/// histogram whose bucket b counts samples in [2^b, 2^{b+1}) nanoseconds
-/// (bucket 0 also absorbs sub-nanosecond readings).
+/// Wall-clock duration accumulator: an exact sample count and nanosecond
+/// total, plus the distribution of the durations.
 class Timer {
  public:
-  static constexpr std::size_t kBuckets = 40;  // up to ~18 minutes
-
   void record_ns(std::uint64_t ns);
 
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t total_ns() const {
-    return total_ns_.load(std::memory_order_relaxed);
-  }
-  /// 0 when no samples were recorded.
-  std::uint64_t min_ns() const;
-  std::uint64_t max_ns() const {
-    return max_ns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bucket(std::size_t b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  /// Approximate quantile from the log2 buckets (geometric bucket midpoint);
-  /// q in [0, 1].  0 when empty.
-  double quantile_ns(double q) const;
+  std::uint64_t count() const;
+  std::uint64_t total_ns() const;
+  /// Copy of the recorded durations in seconds.  Seconds, not nanoseconds:
+  /// the histogram's top octave ends at 2^23, which is only 8.4 ms in ns.
+  Histogram histogram() const;
 
   void reset();
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> total_ns_{0};
-  std::atomic<std::uint64_t> min_ns_{~0ull};
-  std::atomic<std::uint64_t> max_ns_{0};
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-};
-
-/// One registry row, flattened for summaries and trace snapshots.
-struct MetricRow {
-  std::string name;
-  std::string kind;  // "counter" | "gauge" | "timer"
-  std::uint64_t count = 0;     // counter value / timer sample count
-  double value = 0.0;          // gauge value / timer total seconds
-  std::uint64_t min_ns = 0;    // timers only
-  std::uint64_t max_ns = 0;
-  double p50_ns = 0.0;
-  double p99_ns = 0.0;
-  std::vector<std::uint64_t> buckets;  // timers only
+  mutable std::mutex mutex_;
+  std::uint64_t total_ns_ = 0;  // guarded by mutex_
+  Histogram seconds_;           // guarded by mutex_
 };
 
 class MetricsRegistry {
@@ -117,32 +55,26 @@ class MetricsRegistry {
   }
   static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Finds or creates an instrument.  Returned references stay valid for the
-  /// registry's lifetime, so hot paths may cache them in statics.  A name
-  /// identifies exactly one instrument; asking for it as a different kind
-  /// aborts.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  /// Finds or creates a timer.  Returned references stay valid for the
+  /// registry's lifetime, so hot paths may cache them in statics.
   Timer& timer(const std::string& name);
 
-  /// Flattened snapshot, sorted by name.
-  std::vector<MetricRow> rows() const;
+  /// Every timer's durations (seconds), sorted by name.
+  std::vector<std::pair<std::string, Histogram>> timers() const;
 
-  /// Human-readable summary table (common/table.h) of every instrument.
+  /// Human-readable summary table (common/table.h) of every timer.
   std::string summary() const;
 
-  /// Zeroes every instrument; registrations (and cached references) survive.
+  /// Zeroes every timer; registrations (and cached references) survive.
   void reset();
 
-  std::size_t size() const;
-
  private:
-  struct Impl;
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
 
   static std::atomic<bool> enabled_;
-  Impl* impl_;
+  mutable std::mutex mutex_;
+  // Node-based map keeps timer addresses stable across registrations.
+  std::map<std::string, Timer> timers_;  // guarded by mutex_
 };
 
 /// RAII wall-clock probe.  Construction with the registry disabled skips the

@@ -101,6 +101,15 @@ void hash_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
+/// Closes a histogram record: `"name":…,"h":{…}}`.
+void append_named_histogram(std::string& out, const std::string& name,
+                            const Histogram& histogram) {
+  append_string(out, "name", name);
+  out += ",\"h\":";
+  out += histogram.to_json();
+  out += '}';
+}
+
 std::uint64_t double_bits(double d) {
   std::uint64_t u;
   __builtin_memcpy(&u, &d, sizeof(u));
@@ -383,10 +392,7 @@ void TraceRecorder::record_histogram(int run, const std::string& name,
   std::string line = "{\"t\":\"hist\",";
   append_int(line, "r", run);
   line += ',';
-  append_string(line, "name", name);
-  line += ",\"h\":";
-  line += histogram.to_json();
-  line += '}';
+  append_named_histogram(line, name, histogram);
   write_line(line);
 }
 
@@ -445,24 +451,9 @@ void TraceRecorder::end_run(
 
 void TraceRecorder::record_registry() {
   if (file_ == nullptr) return;
-  for (const MetricRow& row : MetricsRegistry::global().rows()) {
-    std::string line = "{\"t\":\"metric\",";
-    append_string(line, "name", row.name);
-    line += ',';
-    append_string(line, "kind", row.kind);
-    line += ',';
-    append_int(line, "count", static_cast<long long>(row.count));
-    line += ',';
-    append_num(line, "value", row.value);
-    line += ',';
-    append_int(line, "min_ns", static_cast<long long>(row.min_ns));
-    line += ',';
-    append_int(line, "max_ns", static_cast<long long>(row.max_ns));
-    line += ',';
-    append_num(line, "p50_ns", row.p50_ns);
-    line += ',';
-    append_num(line, "p99_ns", row.p99_ns);
-    line += '}';
+  for (const auto& [name, seconds] : MetricsRegistry::global().timers()) {
+    std::string line = "{\"t\":\"timer\",";
+    append_named_histogram(line, name, seconds);
     write_line(line);
   }
 }

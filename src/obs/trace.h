@@ -2,7 +2,7 @@
 //
 // A TraceRecorder serializes every MetricEvent a traced run emits — plus the
 // optimizer's per-iteration state, link-probing estimates, and registry
-// snapshots — into a schema-versioned JSON-lines file.  The file opens with
+// timers — into a schema-versioned JSON-lines file.  The file opens with
 // a manifest (schema version, build stamp, tool name, master seed); each run
 // contributes a run_begin record carrying its protocol, seed, coding/MAC
 // parameters and a hash of its session graphs, the graphs themselves (nodes,
@@ -33,8 +33,10 @@
 namespace omnc::obs {
 
 /// Schema 2 added packet-lifecycle "span" records and serialized "hist"
-/// histogram records; the reader accepts only this version.
-inline constexpr int kTraceSchemaVersion = 2;
+/// histogram records; schema 3 replaced the registry's "metric" records with
+/// "timer" records carrying each timer's histogram.  The reader accepts only
+/// this version.
+inline constexpr int kTraceSchemaVersion = 3;
 
 /// Per-run manifest data written into the run_begin record.
 struct RunContext {
@@ -104,7 +106,8 @@ class TraceRecorder {
   void end_run(int run, const std::vector<protocols::SessionResult>& results,
                const std::vector<std::vector<std::size_t>>& edge_innovative);
 
-  /// Snapshots the global MetricsRegistry (one record per instrument).
+  /// Snapshots the global MetricsRegistry: one "timer" record per timer,
+  /// carrying its histogram of durations in seconds.
   void record_registry();
 
   /// FNV-1a over a graph's structure (nodes, endpoints, ETX, edges).

@@ -453,8 +453,7 @@ bool read_trace(const std::string& path, Trace* out, std::string* error) {
         if (!ok) break;
       }
       run.spans.push_back(std::move(event));
-    } else if (type == "hist") {
-      RecordedRun& run = run_of(static_cast<int>(record.integer("r")));
+    } else if (type == "hist" || type == "timer") {
       const Json* h = record.find("h");
       Histogram histogram;
       if (h == nullptr || !parse_histogram(*h, &histogram)) {
@@ -465,7 +464,11 @@ bool read_trace(const std::string& path, Trace* out, std::string* error) {
         ok = false;
         break;
       }
-      run.histograms.emplace_back(record.text("name"), std::move(histogram));
+      auto& named = type == "timer"
+                        ? out->registry
+                        : run_of(static_cast<int>(record.integer("r")))
+                              .histograms;
+      named.emplace_back(record.text("name"), std::move(histogram));
     } else if (type == "opt_iter") {
       RecordedRun& run = run_of(static_cast<int>(record.integer("r")));
       run.opt_gamma.push_back(record.num("gamma"));
@@ -493,17 +496,6 @@ bool read_trace(const std::string& path, Trace* out, std::string* error) {
           run.edge_innovative.push_back(std::move(edges));
         }
       }
-    } else if (type == "metric") {
-      MetricSnapshot snapshot;
-      snapshot.name = record.text("name");
-      snapshot.kind = record.text("kind");
-      snapshot.count = static_cast<std::uint64_t>(record.integer("count"));
-      snapshot.value = record.num("value");
-      snapshot.min_ns = static_cast<std::uint64_t>(record.integer("min_ns"));
-      snapshot.max_ns = static_cast<std::uint64_t>(record.integer("max_ns"));
-      snapshot.p50_ns = record.num("p50_ns");
-      snapshot.p99_ns = record.num("p99_ns");
-      out->registry.push_back(snapshot);
     }
     // Unknown record types are skipped (forward compatibility).
   }

@@ -51,18 +51,6 @@ struct ProbeSample {
   double p_estimate = 0.0;
 };
 
-/// One registry instrument snapshot.
-struct MetricSnapshot {
-  std::string name;
-  std::string kind;
-  std::uint64_t count = 0;
-  double value = 0.0;
-  std::uint64_t min_ns = 0;
-  std::uint64_t max_ns = 0;
-  double p50_ns = 0.0;
-  double p99_ns = 0.0;
-};
-
 struct Trace {
   int schema = 0;
   std::string build;
@@ -71,7 +59,8 @@ struct Trace {
   std::uint64_t seed = 0;
   std::vector<RecordedRun> runs;  // sorted by run id
   std::vector<ProbeSample> probes;
-  std::vector<MetricSnapshot> registry;
+  /// Registry timers by name: durations in seconds.
+  std::vector<std::pair<std::string, Histogram>> registry;
 };
 
 /// Parses a JSONL trace.  Returns false (and sets `error`) on unreadable

@@ -19,6 +19,7 @@
 #include "opt/rate_control.h"
 #include "opt/sunicast.h"
 #include "routing/node_selection.h"
+#include "time/clock.h"
 #include "wire/frame.h"
 
 namespace omnc::emu {
@@ -147,8 +148,9 @@ TEST(EmuRecovery, DuplicateAndStaleAcksDoNotDoubleComplete) {
   std::string error;
   ASSERT_TRUE(FaultPlan::parse("dup=*:1.0", &plan, &error)) << error;
   FaultTransport transport(loopback, plan);
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   double now = 0.0;
-  transport.set_time_source([&] { return now; });
 
   const EmuNodeConfig config = small_node_config(2);
   EmuNode source(graph, 0, transport, config);
@@ -158,6 +160,7 @@ TEST(EmuRecovery, DuplicateAndStaleAcksDoNotDoubleComplete) {
   std::vector<EmuNode*> nodes{&source, &destination};
   for (now = 0.0; now < 6.0 && source.completed_generations() < 2;
        now += 0.01) {
+    clock.advance_to(now);
     for (EmuNode* node : nodes) step(transport, *node, now);
   }
   // Exactly one completion (and one latency sample) per generation, despite
@@ -170,6 +173,7 @@ TEST(EmuRecovery, DuplicateAndStaleAcksDoNotDoubleComplete) {
   // A stale ACK for a long-retired generation injected out of the blue must
   // change nothing.
   const int completed = source.stats().generations_completed;
+  clock.advance_to(now);
   transport.send(1, wire::make_ack(config.session_id,
                                    wire::GenerationAck{0, 1, 250})
                         .serialize());
@@ -187,8 +191,9 @@ TEST(EmuRecovery, ReorderedForwardDataStillDecodes) {
                                &plan, &error))
       << error;
   FaultTransport transport(loopback, plan);
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   double now = 0.0;
-  transport.set_time_source([&] { return now; });
 
   const EmuNodeConfig config = small_node_config(3);
   EmuNode source(graph, 0, transport, config);
@@ -198,6 +203,7 @@ TEST(EmuRecovery, ReorderedForwardDataStillDecodes) {
   std::vector<EmuNode*> nodes{&source, &destination};
   for (now = 0.0; now < 8.0 && source.completed_generations() < 3;
        now += 0.01) {
+    clock.advance_to(now);
     for (EmuNode* node : nodes) step(transport, *node, now);
   }
   EXPECT_EQ(source.stats().generations_completed, 3);
@@ -292,8 +298,9 @@ TEST(EmuRecovery, BlackoutRestartStillRetiresEveryGeneration) {
   std::string error;
   ASSERT_TRUE(FaultPlan::parse("blackout=1:1.0-2.5", &plan, &error)) << error;
   FaultTransport transport(loopback, plan);
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   double now = 0.0;
-  transport.set_time_source([&] { return now; });
 
   EmuNodeConfig config = small_node_config(20);
   config.resync_silence_s = 0.4;
@@ -304,6 +311,7 @@ TEST(EmuRecovery, BlackoutRestartStillRetiresEveryGeneration) {
   std::vector<EmuNode*> nodes{&source, &destination};
   for (now = 0.0; now < 15.0 && source.completed_generations() < 20;
        now += 0.01) {
+    clock.advance_to(now);
     for (EmuNode* node : nodes) step(transport, *node, now);
   }
   EXPECT_GT(transport.fault_stats().blackout_rx_drops, 0u);

@@ -1,8 +1,9 @@
 // FaultTransport: plan parsing, Gilbert–Elliott statistics, partition /
 // blackout windows, duplication / reordering, and the determinism contract —
 // the same seed and plan must produce a byte-identical fault stream.  Every
-// test drives the injector with a manual time source over a perfect loopback
-// inner transport, so outcomes are pure functions of (seed, link, copy).
+// test drives the injector with a hand-cranked vtime::DeterministicClock over
+// a perfect loopback inner transport, so outcomes are pure functions of
+// (seed, link, copy).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 
 #include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
+#include "time/clock.h"
 
 namespace omnc::emu {
 namespace {
@@ -121,14 +123,14 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
 TEST(FaultTransport, GilbertElliottLossTracksStationaryMean) {
   LoopbackTransport inner(2, perfect_links(2));
   FaultTransport transport(inner, plan_from("seed=3; ge=*:0.1,0.3,0.02,0.85"));
-  double now = 0.0;
-  transport.set_time_source([&] { return now; });
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   const int sends = 4000;
   std::size_t delivered = 0;
   for (int k = 0; k < sends; ++k) {
     transport.send(0, message(1));
     delivered += poll_count(transport, 1);
-    now += 0.001;
+    clock.advance_to(clock.now() + 0.001);
   }
   const FaultStats stats = transport.fault_stats();
   EXPECT_EQ(delivered + stats.lost, static_cast<std::size_t>(sends));
@@ -143,8 +145,9 @@ TEST(FaultTransport, GilbertElliottLossTracksStationaryMean) {
 TEST(FaultTransport, PartitionCutsOnlyCrossingLinksInsideWindow) {
   LoopbackTransport inner(3, perfect_links(3));
   FaultTransport transport(inner, plan_from("partition=1.0-2.0:2"));
-  double now = 0.5;
-  transport.set_time_source([&] { return now; });
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
+  clock.advance_to(0.5);
 
   // Before the window everything flows.
   transport.send(0, message(1));
@@ -152,7 +155,7 @@ TEST(FaultTransport, PartitionCutsOnlyCrossingLinksInsideWindow) {
   EXPECT_EQ(poll_count(transport, 2), 1u);
 
   // Inside: links crossing the {2} | {0, 1} cut die, 0<->1 is untouched.
-  now = 1.5;
+  clock.advance_to(1.5);
   transport.send(0, message(2));
   transport.send(2, message(3));
   EXPECT_EQ(poll_count(transport, 1), 1u);  // 0->1 survives (2->1 is cut)
@@ -161,7 +164,7 @@ TEST(FaultTransport, PartitionCutsOnlyCrossingLinksInsideWindow) {
   EXPECT_EQ(transport.fault_stats().partition_drops, 3u);
 
   // The end of the window is exclusive: at t = 2.0 the cut has healed.
-  now = 2.0;
+  clock.advance_to(2.0);
   transport.send(0, message(4));
   EXPECT_EQ(poll_count(transport, 2), 1u);
 }
@@ -169,8 +172,9 @@ TEST(FaultTransport, PartitionCutsOnlyCrossingLinksInsideWindow) {
 TEST(FaultTransport, BlackoutSuppressesBothDirections) {
   LoopbackTransport inner(2, perfect_links(2));
   FaultTransport transport(inner, plan_from("blackout=1:1.0-2.0"));
-  double now = 1.5;
-  transport.set_time_source([&] { return now; });
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
+  clock.advance_to(1.5);
 
   // A crashed node transmits nothing — the frame never reaches the channel.
   transport.send(1, message(1));
@@ -185,7 +189,7 @@ TEST(FaultTransport, BlackoutSuppressesBothDirections) {
   EXPECT_EQ(stats.blackout_rx_drops, 1u);
 
   // After restart the node is back on the air.
-  now = 2.5;
+  clock.advance_to(2.5);
   transport.send(1, message(3));
   EXPECT_EQ(poll_count(transport, 0), 1u);
 }
@@ -193,8 +197,8 @@ TEST(FaultTransport, BlackoutSuppressesBothDirections) {
 TEST(FaultTransport, DuplicateDeliversTheCopyTwice) {
   LoopbackTransport inner(2, perfect_links(2));
   FaultTransport transport(inner, plan_from("dup=*:1.0"));
-  double now = 0.0;
-  transport.set_time_source([&] { return now; });
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   transport.send(0, message(0x5c));
   std::size_t handler_calls = 0;
   std::vector<std::uint8_t> got;
@@ -212,24 +216,24 @@ TEST(FaultTransport, DuplicateDeliversTheCopyTwice) {
 TEST(FaultTransport, ReorderHoldsTheCopyUntilDue) {
   LoopbackTransport inner(2, perfect_links(2));
   FaultTransport transport(inner, plan_from("reorder=*:1.0,0.5"));
-  double now = 0.0;
-  transport.set_time_source([&] { return now; });
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   transport.send(0, message(7));
   EXPECT_EQ(poll_count(transport, 1), 0u);  // held back
   EXPECT_EQ(transport.fault_stats().reordered, 1u);
-  now = 0.3;
+  clock.advance_to(0.3);
   EXPECT_EQ(poll_count(transport, 1), 0u);  // still early
-  now = 0.51;
+  clock.advance_to(0.51);
   EXPECT_EQ(poll_count(transport, 1), 1u);  // released late
   // A held copy overtaken by a fresh one arrives after it: reordering.
   transport.send(0, message(8));
   transport.send(0, message(9));
   std::vector<std::uint8_t> first_tag;
-  now = 0.6;
+  clock.advance_to(0.6);
   transport.poll(1, [&](int, std::span<const std::uint8_t> bytes) {
     if (first_tag.empty()) first_tag.assign(bytes.begin(), bytes.begin() + 1);
   });
-  now = 1.2;
+  clock.advance_to(1.2);
   EXPECT_EQ(poll_count(transport, 1), 2u);
 }
 
@@ -244,14 +248,14 @@ TEST(FaultTransport, FaultStreamIsByteIdenticalForSameSeed) {
         "jitter=*:0.02");
     plan.seed = seed;
     FaultTransport transport(inner, std::move(plan));
-    double now = 0.0;
-    transport.set_time_source([&] { return now; });
+    vtime::DeterministicClock clock;
+    transport.bind_clock(&clock);
     FaultLog log;
     transport.set_observer(&log);
     for (int round = 0; round < 200; ++round) {
       transport.send(round % 3, message(static_cast<std::uint8_t>(round)));
       for (int to = 0; to < 3; ++to) poll_count(transport, to);
-      now += 0.01;
+      clock.advance_to(clock.now() + 0.01);
     }
     EXPECT_FALSE(log.log.empty());
     EXPECT_GT(log.delivers, 0u);
@@ -266,8 +270,8 @@ TEST(FaultTransport, UnconfiguredLinksPassThroughUntouched) {
   // Faults scoped to 0->1 must not consume randomness or copies on 0->2.
   LoopbackTransport inner(3, perfect_links(3));
   FaultTransport transport(inner, plan_from("loss=0-1:1.0"));
-  double now = 0.0;
-  transport.set_time_source([&] { return now; });
+  vtime::DeterministicClock clock;
+  transport.bind_clock(&clock);
   for (int k = 0; k < 50; ++k) transport.send(0, message(1));
   EXPECT_EQ(poll_count(transport, 1), 0u);   // always killed
   EXPECT_EQ(poll_count(transport, 2), 50u);  // never touched

@@ -1,4 +1,4 @@
-// Observability layer tests: the MetricsRegistry instruments, the JSONL
+// Observability layer tests: the MetricsRegistry timers, the JSONL
 // trace round trip, and the replay/verify machinery behind trace_inspect.
 //
 // The central invariant is exactness: a trace written with %.17g doubles and
@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/topology.h"
@@ -49,35 +51,73 @@ std::string temp_trace_path(const char* name) {
 
 // --- MetricsRegistry ------------------------------------------------------
 
-TEST(MetricsRegistry, CountersGaugesAndTimers) {
+TEST(MetricsRegistry, TimerCountsTotalsAndResets) {
   MetricsRegistry& registry = MetricsRegistry::global();
   registry.reset();
 
-  Counter& counter = registry.counter("test/counter");
-  counter.add();
-  counter.add(4);
-  EXPECT_EQ(counter.value(), 5u);
-  // Same name yields the same instrument.
-  EXPECT_EQ(&registry.counter("test/counter"), &counter);
-
-  Gauge& gauge = registry.gauge("test/gauge");
-  gauge.set(2.5);
-  EXPECT_EQ(gauge.value(), 2.5);
-
   Timer& timer = registry.timer("test/timer");
+  // Same name yields the same timer.
+  EXPECT_EQ(&registry.timer("test/timer"), &timer);
   timer.record_ns(100);
   timer.record_ns(300);
   EXPECT_EQ(timer.count(), 2u);
   EXPECT_EQ(timer.total_ns(), 400u);
-  EXPECT_EQ(timer.min_ns(), 100u);
-  EXPECT_EQ(timer.max_ns(), 300u);
-  EXPECT_GT(timer.quantile_ns(0.99), 0.0);
+  const Histogram seconds = timer.histogram();
+  EXPECT_EQ(seconds.count(), 2u);
+  EXPECT_EQ(seconds.min(), 100e-9);  // exact extremes, in seconds
+  EXPECT_EQ(seconds.max(), 300e-9);
+  EXPECT_GT(seconds.quantile(99.0), 0.0);
 
   registry.reset();
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(timer.count(), 0u);
-  EXPECT_EQ(timer.min_ns(), 0u);
+  EXPECT_EQ(timer.total_ns(), 0u);
+  EXPECT_EQ(timer.histogram(), Histogram());
+}
+
+// A median sits at most one sub-bucket (1/32 of its octave) below the true
+// value, in the nanosecond range the coding probes see and above 2^23 ns
+// (8.4 ms), where nanosecond samples would land in the overflow bucket.
+TEST(MetricsRegistry, TimerMedianLiesWithinOneSubBucket) {
+  for (const std::uint64_t scale : {1ull, 100'000ull}) {
+    Timer timer;
+    for (const std::uint64_t ns : {100ull, 300ull, 1000ull}) {
+      timer.record_ns(ns * scale);
+    }
+    const double median_ns = 1e9 * timer.histogram().quantile(50.0);
+    const double true_ns = 300.0 * static_cast<double>(scale);
+    EXPECT_LE(median_ns, true_ns) << "scale " << scale;
+    EXPECT_GT(median_ns, true_ns * (1.0 - 1.0 / Histogram::kSubBuckets))
+        << "scale " << scale;
+  }
+}
+
+// Pool workers and shard threads record into one timer concurrently while
+// snapshots are read; no record may be lost.  Under TSan this also checks
+// that one lock guards the count, the total and the histogram.
+TEST(MetricsRegistry, TimerCountsEveryConcurrentRecord) {
+  MetricsRegistry& registry = MetricsRegistry::global();
+  Timer& timer = registry.timer("test/concurrent");
+  timer.reset();
+  constexpr int kThreads = 4;
+  constexpr int kRecords = 1000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&timer, t] {
+      for (int i = 0; i < kRecords; ++i) {
+        timer.record_ns(static_cast<std::uint64_t>(t + 1));
+      }
+    });
+  }
+  for (int i = 0; i < 10; ++i) {
+    const Histogram snapshot = timer.histogram();
+    EXPECT_LE(snapshot.count(), std::uint64_t{kThreads * kRecords});
+    EXPECT_FALSE(registry.timers().empty());
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(timer.count(), std::uint64_t{kThreads * kRecords});
+  EXPECT_EQ(timer.total_ns(), std::uint64_t{kRecords * (1 + 2 + 3 + 4)});
+  EXPECT_EQ(timer.histogram().count(), timer.count());
+  timer.reset();
 }
 
 TEST(MetricsRegistry, ScopedTimerIsGatedByEnabledFlag) {
@@ -96,15 +136,19 @@ TEST(MetricsRegistry, ScopedTimerIsGatedByEnabledFlag) {
   registry.reset();
 }
 
-TEST(MetricsRegistry, RowsAreSortedAndSummaryRenders) {
+TEST(MetricsRegistry, TimersAreSortedAndSummaryRenders) {
   MetricsRegistry& registry = MetricsRegistry::global();
   registry.reset();
-  registry.counter("test/b").add(2);
-  registry.counter("test/a").add(1);
-  const std::vector<MetricRow> rows = registry.rows();
-  ASSERT_GE(rows.size(), 2u);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    EXPECT_LT(rows[i - 1].name, rows[i].name);
+  registry.timer("test/b").record_ns(2);
+  registry.timer("test/a").record_ns(1);
+  const std::vector<std::pair<std::string, Histogram>> timers =
+      registry.timers();
+  ASSERT_GE(timers.size(), 2u);
+  for (std::size_t i = 1; i < timers.size(); ++i) {
+    EXPECT_LT(timers[i - 1].first, timers[i].first);
+  }
+  for (const auto& [name, seconds] : timers) {
+    EXPECT_EQ(seconds, registry.timer(name).histogram()) << name;
   }
   EXPECT_NE(registry.summary().find("test/a"), std::string::npos);
   registry.reset();
@@ -145,6 +189,7 @@ TEST(TraceRoundTrip, ManifestGraphEventsAndResultsSurvive) {
   result.transmissions = 16586;
   result.predicted_gamma = 3141.5926535897933;
 
+  Histogram recorded_timer;
   {
     TraceRecorder recorder(path, "test_obs", "k=1", 0xdeadbeefcafe1234ull);
     ASSERT_TRUE(recorder.ok());
@@ -160,7 +205,11 @@ TEST(TraceRoundTrip, ManifestGraphEventsAndResultsSurvive) {
     recorder.record_probe(0, 1, 0, 2, 0.6, 0.58499999999999996);
     recorder.end_run(run, {result}, {{10, 20, 30, 40}});
     MetricsRegistry::global().reset();
-    MetricsRegistry::global().counter("test/trace_counter").add(7);
+    Timer& timer = MetricsRegistry::global().timer("test/trace_timer");
+    timer.record_ns(700);
+    timer.record_ns(1000);
+    timer.record_ns(12'000'000'000);  // 12 s
+    recorded_timer = timer.histogram();
     recorder.record_registry();
     MetricsRegistry::global().reset();
   }
@@ -237,15 +286,16 @@ TEST(TraceRoundTrip, ManifestGraphEventsAndResultsSurvive) {
   EXPECT_EQ(trace.probes[0].p_true, 0.6);
   EXPECT_EQ(trace.probes[0].p_estimate, 0.58499999999999996);
 
-  bool found_counter = false;
-  for (const auto& row : trace.registry) {
-    if (row.name == "test/trace_counter") {
-      found_counter = true;
-      EXPECT_EQ(row.kind, "counter");
-      EXPECT_EQ(row.count, 7u);
+  // The timer's histogram survives bit for bit.
+  bool found_timer = false;
+  for (const auto& [name, seconds] : trace.registry) {
+    if (name == "test/trace_timer") {
+      found_timer = true;
+      EXPECT_EQ(seconds, recorded_timer);
     }
   }
-  EXPECT_TRUE(found_counter);
+  EXPECT_TRUE(found_timer);
+  EXPECT_EQ(recorded_timer.count(), 3u);
   std::remove(path.c_str());
 }
 

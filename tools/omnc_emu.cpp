@@ -65,7 +65,7 @@
 //                   A spec without `seed=` inherits --seed.  Fault decisions
 //                   appear in the trace (`trace_inspect --faults`)
 //   --json          write flat result records (bench JSON schema)
-//   --trace         record a JSONL trace (schema v2): metric events, packet
+//   --trace         record a JSONL trace (schema v3): metric events, packet
 //                   lifecycle spans, and latency histograms.  Inspect with
 //                   `trace_inspect --transport / --timeline / --histograms`
 //   --health-json   periodically write a live health document (counters,

@@ -22,7 +22,8 @@
 //   --faults        fault-injection summary (floss / freord / fdup / fpart /
 //                   fblack events per kind and per link, truncated-datagram
 //                   parse errors, fault activity time span)
-//   --registry      wall-clock metrics snapshot recorded in the trace
+//   --registry      registry timers recorded in the trace: count, mean,
+//                   percentiles, min and max in nanoseconds
 //   --verify        replay every run and compare each reconstructed metric
 //                   with the recorded ground truth (exact double equality);
 //                   exit code 1 on any mismatch
@@ -67,7 +68,7 @@ void print_summary(const obs::Trace& trace, const Options& options) {
   std::printf("trace: tool=%s build=%s schema=%d params=\"%s\"\n",
               trace.tool.c_str(), trace.build.c_str(), trace.schema,
               trace.params.c_str());
-  std::printf("%zu runs, %zu probe samples, %zu registry rows\n\n",
+  std::printf("%zu runs, %zu probe samples, %zu registry timers\n\n",
               trace.runs.size(), trace.probes.size(), trace.registry.size());
   TextTable table({"run", "protocol", "sessions", "events", "gens",
                    "thr B/s", "thr/gen B/s", "mean queue", "tx"});
@@ -415,18 +416,32 @@ void print_faults(const obs::Trace& trace, const Options& options) {
   if (!printed) std::printf("no fault events in trace\n");
 }
 
+/// `leading` cells, then the histogram's count, mean, p50/p90/p99, min and
+/// max, each value times `scale` printed with `digits` decimals.
+std::vector<std::string> histogram_row(std::vector<std::string> leading,
+                                       const obs::Histogram& hist,
+                                       double scale, int digits) {
+  leading.push_back(std::to_string(hist.count()));
+  for (const double value : {hist.mean(), hist.quantile(50.0),
+                             hist.quantile(90.0), hist.quantile(99.0),
+                             hist.min(), hist.max()}) {
+    leading.push_back(TextTable::fmt(scale * value, digits));
+  }
+  return leading;
+}
+
 void print_registry(const obs::Trace& trace) {
   if (trace.registry.empty()) {
-    std::printf("no registry snapshot in trace\n");
+    std::printf("no registry timers in trace\n");
     return;
   }
-  TextTable table({"metric", "kind", "count", "value", "p50 ns", "p99 ns"});
-  for (const auto& row : trace.registry) {
-    table.add_row({row.name, row.kind, std::to_string(row.count),
-                   TextTable::fmt(row.value, 6), TextTable::fmt(row.p50_ns, 0),
-                   TextTable::fmt(row.p99_ns, 0)});
+  // Nanoseconds: a sub-microsecond timer would print as 0.000000 seconds.
+  TextTable table(
+      {"timer", "count", "mean", "p50", "p90", "p99", "min", "max"});
+  for (const auto& [name, seconds] : trace.registry) {
+    table.add_row(histogram_row({name}, seconds, 1e9, 0));
   }
-  std::printf("%s\n", table.render().c_str());
+  std::printf("-- registry timers (ns) --\n%s\n", table.render().c_str());
 }
 
 std::string span_name(const obs::SpanId& span) {
@@ -558,14 +573,8 @@ void print_histograms(const obs::Trace& trace, const Options& options) {
     if (!run_selected(options, run)) continue;
     for (const auto& [name, hist] : run.histograms) {
       printed = true;
-      table.add_row({std::to_string(run.id), name,
-                     std::to_string(hist.count()),
-                     TextTable::fmt(hist.mean(), 6),
-                     TextTable::fmt(hist.quantile(50.0), 6),
-                     TextTable::fmt(hist.quantile(90.0), 6),
-                     TextTable::fmt(hist.quantile(99.0), 6),
-                     TextTable::fmt(hist.min(), 6),
-                     TextTable::fmt(hist.max(), 6)});
+      table.add_row(
+          histogram_row({std::to_string(run.id), name}, hist, 1.0, 6));
     }
   }
   if (!printed) {
