@@ -1,66 +1,9 @@
 #include "opt/multi_unicast.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-
-#include "common/assert.h"
 #include "lp/simplex.h"
-#include "routing/shortest_path.h"
+#include "opt/sunicast.h"
 
 namespace omnc::opt {
-namespace {
-
-/// Shared bookkeeping: the union of all sessions' nodes with interference
-/// neighborhoods, and whether a node acts as a receiver anywhere (the
-/// broadcast constraint applies at receivers).
-struct UnionIndex {
-  std::vector<net::NodeId> nodes;                 // union, sorted
-  std::map<net::NodeId, int> to_union;            // topology id -> union idx
-  std::vector<std::vector<int>> neighbors;        // union-local interference
-  std::vector<bool> is_receiver;                  // non-source in >=1 session
-  // member[s][local] = union index of session s's local node.
-  std::vector<std::vector<int>> member;
-};
-
-UnionIndex build_union(
-    const net::Topology& topology,
-    const std::vector<const routing::SessionGraph*>& sessions) {
-  UnionIndex u;
-  for (const auto* graph : sessions) {
-    OMNC_ASSERT(graph != nullptr && graph->size() >= 2);
-    for (net::NodeId id : graph->nodes) u.to_union.emplace(id, 0);
-  }
-  int index = 0;
-  for (auto& [id, slot] : u.to_union) {
-    slot = index++;
-    u.nodes.push_back(id);
-  }
-  u.neighbors.assign(u.nodes.size(), {});
-  for (std::size_t a = 0; a < u.nodes.size(); ++a) {
-    for (std::size_t b = 0; b < u.nodes.size(); ++b) {
-      if (a != b && topology.interferes(u.nodes[a], u.nodes[b])) {
-        u.neighbors[a].push_back(static_cast<int>(b));
-      }
-    }
-  }
-  u.is_receiver.assign(u.nodes.size(), false);
-  u.member.resize(sessions.size());
-  for (std::size_t s = 0; s < sessions.size(); ++s) {
-    const auto* graph = sessions[s];
-    u.member[s].resize(static_cast<std::size_t>(graph->size()));
-    for (int local = 0; local < graph->size(); ++local) {
-      const int global = u.to_union.at(graph->node_id(local));
-      u.member[s][static_cast<std::size_t>(local)] = global;
-      if (local != graph->source) {
-        u.is_receiver[static_cast<std::size_t>(global)] = true;
-      }
-    }
-  }
-  return u;
-}
-
-}  // namespace
 
 MultiSUnicastSolution solve_multi_sunicast(
     const net::Topology& topology,
@@ -68,7 +11,7 @@ MultiSUnicastSolution solve_multi_sunicast(
     double capacity) {
   MultiSUnicastSolution result;
   if (sessions.empty()) return result;
-  const UnionIndex u = build_union(topology, sessions);
+  const SharedChannel channel(topology, sessions);
   const std::size_t k = sessions.size();
 
   // Variable layout: [t | per session: gamma_s, x^s_e..., b^s_i...].
@@ -124,20 +67,21 @@ MultiSUnicastSolution solve_multi_sunicast(
   }
 
   // Shared broadcast constraint at every receiver of the union.
-  for (std::size_t g = 0; g < u.nodes.size(); ++g) {
-    if (!u.is_receiver[g]) continue;
+  for (std::size_t g = 0; g < channel.size(); ++g) {
+    if (!channel.is_receiver[g]) continue;
     std::vector<double> row(num_vars, 0.0);
     auto add_node_rates = [&](std::size_t global, double coefficient) {
       for (std::size_t s = 0; s < k; ++s) {
-        for (std::size_t local = 0; local < u.member[s].size(); ++local) {
-          if (u.member[s][local] == static_cast<int>(global)) {
+        for (std::size_t local = 0; local < channel.member[s].size();
+             ++local) {
+          if (channel.member[s][local] == static_cast<int>(global)) {
             row[b_base[s] + local] += coefficient;
           }
         }
       }
     };
     add_node_rates(g, 1.0);
-    for (int nbr : u.neighbors[g]) {
+    for (int nbr : channel.neighbors[g]) {
       add_node_rates(static_cast<std::size_t>(nbr), 1.0);
     }
     problem.add_le(std::move(row), capacity);
@@ -156,220 +100,6 @@ MultiSUnicastSolution solve_multi_sunicast(
         solution.x.begin() +
             static_cast<long>(b_base[s] + static_cast<std::size_t>(
                                               sessions[s]->size())));
-  }
-  return result;
-}
-
-double multi_broadcast_load_factor(
-    const net::Topology& topology,
-    const std::vector<const routing::SessionGraph*>& sessions,
-    const std::vector<std::vector<double>>& b, double capacity) {
-  OMNC_ASSERT(b.size() == sessions.size());
-  const UnionIndex u = build_union(topology, sessions);
-  // Total rate per union node.
-  std::vector<double> rate(u.nodes.size(), 0.0);
-  for (std::size_t s = 0; s < sessions.size(); ++s) {
-    OMNC_ASSERT(b[s].size() == static_cast<std::size_t>(sessions[s]->size()));
-    for (std::size_t local = 0; local < b[s].size(); ++local) {
-      rate[static_cast<std::size_t>(u.member[s][local])] += b[s][local];
-    }
-  }
-  double worst = 0.0;
-  for (std::size_t g = 0; g < u.nodes.size(); ++g) {
-    if (!u.is_receiver[g]) continue;
-    double load = rate[g];
-    for (int nbr : u.neighbors[g]) load += rate[static_cast<std::size_t>(nbr)];
-    worst = std::max(worst, load / capacity);
-  }
-  return worst;
-}
-
-double multi_rescale_to_feasible(
-    const net::Topology& topology,
-    const std::vector<const routing::SessionGraph*>& sessions,
-    std::vector<std::vector<double>>& b, double capacity) {
-  const double load =
-      multi_broadcast_load_factor(topology, sessions, b, capacity);
-  if (load <= 1.0) return 1.0;
-  const double scale = 1.0 / load;
-  for (auto& rates : b) {
-    for (double& value : rates) value *= scale;
-  }
-  return scale;
-}
-
-MultiSessionRateControl::MultiSessionRateControl(
-    const net::Topology& topology,
-    std::vector<const routing::SessionGraph*> sessions,
-    const RateControlParams& params)
-    : topology_(topology), sessions_(std::move(sessions)), params_(params) {
-  OMNC_ASSERT(!sessions_.empty());
-  for (const auto* graph : sessions_) {
-    OMNC_ASSERT(graph != nullptr && graph->size() >= 2 &&
-                !graph->edges.empty());
-  }
-}
-
-MultiRateControlResult MultiSessionRateControl::run() {
-  const UnionIndex u = build_union(topology_, sessions_);
-  const std::size_t k = sessions_.size();
-  const double unit = params_.capacity;  // normalized units, as in Table 1
-  const double capacity = 1.0;
-
-  struct SessionState {
-    std::vector<double> lambda;  // per edge
-    std::vector<double> b;       // per local node
-    std::vector<double> b_avg;
-    std::vector<double> x_avg;
-    double gamma_avg = 0.0;
-    std::vector<routing::GraphEdge> sp_edges;
-  };
-  std::vector<SessionState> state(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    const auto& graph = *sessions_[s];
-    state[s].lambda.assign(graph.edges.size(), 0.0);
-    state[s].b.assign(static_cast<std::size_t>(graph.size()),
-                      1e-3 * capacity);
-    state[s].b_avg.assign(static_cast<std::size_t>(graph.size()), 0.0);
-    state[s].x_avg.assign(graph.edges.size(), 0.0);
-    state[s].sp_edges.resize(graph.edges.size());
-    for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-      state[s].sp_edges[e].from = graph.edges[e].from;
-      state[s].sp_edges[e].to = graph.edges[e].to;
-    }
-  }
-  std::vector<double> beta(u.nodes.size(), 0.0);  // shared congestion price
-
-  MultiRateControlResult result;
-  result.gamma.assign(k, 0.0);
-  std::vector<double> prev_flat;
-  int stable = 0;
-
-  int t = 0;
-  while (t < params_.max_iterations) {
-    ++t;
-    const double theta = params_.step_a /
-                         (params_.step_b + params_.step_c * t);
-    const double keep = static_cast<double>(t - 1) / t;
-
-    // Per-node total rates for the shared price update.
-    std::vector<double> total_rate(u.nodes.size(), 0.0);
-
-    for (std::size_t s = 0; s < k; ++s) {
-      const auto& graph = *sessions_[s];
-      SessionState& ss = state[s];
-      // SUB1 per session.
-      for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-        ss.sp_edges[e].cost = ss.lambda[e];
-      }
-      const routing::ShortestPathTree tree = routing::bellman_ford_to_target(
-          graph.size(), ss.sp_edges, graph.destination);
-      const double p_min =
-          tree.distance[static_cast<std::size_t>(graph.source)];
-      OMNC_ASSERT(p_min != routing::kUnreachable);
-      const double gamma_t =
-          (p_min <= 1.0 / capacity) ? capacity : 1.0 / p_min;
-      std::vector<double> x_t(graph.edges.size(), 0.0);
-      int node = graph.source;
-      while (node != graph.destination) {
-        const int next = tree.next_hop[static_cast<std::size_t>(node)];
-        for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-          if (graph.edges[e].from == node && graph.edges[e].to == next) {
-            x_t[e] = gamma_t;
-            break;
-          }
-        }
-        node = next;
-      }
-      for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-        ss.x_avg[e] = keep * ss.x_avg[e] + x_t[e] / t;
-      }
-      result.gamma[s] = keep * result.gamma[s] + gamma_t / t;
-      result.messages += graph.edges.size() *
-                         static_cast<std::size_t>(tree.rounds);
-
-      // SUB2 with the shared congestion price.
-      std::vector<double> w(static_cast<std::size_t>(graph.size()), 0.0);
-      for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-        w[static_cast<std::size_t>(graph.edges[e].from)] +=
-            ss.lambda[e] * graph.edges[e].p;
-      }
-      for (int i = 0; i < graph.size(); ++i) {
-        const int global = u.member[s][static_cast<std::size_t>(i)];
-        double price = u.is_receiver[static_cast<std::size_t>(global)]
-                           ? beta[static_cast<std::size_t>(global)]
-                           : 0.0;
-        for (int nbr : u.neighbors[static_cast<std::size_t>(global)]) {
-          if (u.is_receiver[static_cast<std::size_t>(nbr)]) {
-            price += beta[static_cast<std::size_t>(nbr)];
-          }
-        }
-        const double updated =
-            ss.b[static_cast<std::size_t>(i)] +
-            (w[static_cast<std::size_t>(i)] - price) /
-                (2.0 * params_.proximal_c);
-        ss.b[static_cast<std::size_t>(i)] =
-            std::clamp(updated, 0.0, capacity);
-        ss.b_avg[static_cast<std::size_t>(i)] =
-            keep * ss.b_avg[static_cast<std::size_t>(i)] +
-            ss.b[static_cast<std::size_t>(i)] / t;
-        total_rate[static_cast<std::size_t>(global)] +=
-            ss.b[static_cast<std::size_t>(i)];
-      }
-      // Lambda update (per session).
-      for (std::size_t e = 0; e < graph.edges.size(); ++e) {
-        const auto& edge = graph.edges[e];
-        const double slack =
-            ss.b[static_cast<std::size_t>(edge.from)] * edge.p - x_t[e];
-        ss.lambda[e] = std::max(0.0, ss.lambda[e] - theta * slack);
-      }
-      std::size_t degree = 0;
-      for (const auto& nbrs : graph.range_neighbors) degree += nbrs.size();
-      result.messages += 2 * degree;
-    }
-
-    // Shared congestion price update.
-    for (std::size_t g = 0; g < u.nodes.size(); ++g) {
-      if (!u.is_receiver[g]) continue;
-      double load = total_rate[g];
-      for (int nbr : u.neighbors[g]) {
-        load += total_rate[static_cast<std::size_t>(nbr)];
-      }
-      beta[g] = std::max(0.0, beta[g] + theta * (load - capacity));
-    }
-
-    // Convergence on the concatenated recovered primal.
-    std::vector<double> flat;
-    for (std::size_t s = 0; s < k; ++s) {
-      flat.insert(flat.end(), state[s].b_avg.begin(), state[s].b_avg.end());
-      flat.push_back(result.gamma[s]);
-    }
-    if (!prev_flat.empty()) {
-      double delta = 0.0;
-      double scale = 1e-9;
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        delta = std::max(delta, std::abs(flat[i] - prev_flat[i]));
-        scale = std::max(scale, flat[i]);
-      }
-      if (delta / scale < params_.tolerance) {
-        if (++stable >= params_.stable_iterations) {
-          result.converged = true;
-          prev_flat = std::move(flat);
-          break;
-        }
-      } else {
-        stable = 0;
-      }
-    }
-    prev_flat = std::move(flat);
-  }
-
-  result.iterations = t;
-  result.b.resize(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    result.b[s] = std::move(state[s].b_avg);
-    for (double& value : result.b[s]) value *= unit;
-    result.gamma[s] *= unit;
   }
   return result;
 }

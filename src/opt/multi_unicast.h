@@ -9,38 +9,18 @@
 //
 //   sum_s b^s_i + sum_{j in N(i)} sum_s b^s_j <= C       (i not a source-only node)
 //
-// Two solvers are provided:
-//   * a centralized max-min LP (maximize t s.t. gamma_s >= t for all s) —
-//     the fairness-oriented ground truth; and
-//   * the distributed algorithm: per-session SUB1/lambda exactly as in
-//     Table 1, with a single *shared* congestion price beta_i per node that
-//     coordinates all sessions through the common constraint.  Because
-//     every session maximizes U(gamma) = ln(gamma), the equilibrium is
-//     proportionally fair across sessions.
+// The distributed solver is Table 1 itself (MultiSessionRateControl in
+// rate_control.h): per-session SUB1/lambda with a single *shared* congestion
+// price beta_i per node.  This header holds the ground truth it is measured
+// against: a centralized max-min LP (maximize t s.t. gamma_s >= t for all s).
 #pragma once
 
 #include <vector>
 
 #include "net/topology.h"
-#include "opt/rate_control.h"
 #include "routing/node_selection.h"
 
 namespace omnc::opt {
-
-/// One session's view inside the joint problem.
-struct MultiSessionMember {
-  const routing::SessionGraph* graph = nullptr;
-};
-
-struct MultiRateControlResult {
-  bool converged = false;
-  int iterations = 0;
-  /// Recovered throughput estimate per session.
-  std::vector<double> gamma;
-  /// rates[s][local node of session s] in bytes/s.
-  std::vector<std::vector<double>> b;
-  std::size_t messages = 0;
-};
 
 struct MultiSUnicastSolution {
   bool feasible = false;
@@ -56,34 +36,5 @@ MultiSUnicastSolution solve_multi_sunicast(
     const net::Topology& topology,
     const std::vector<const routing::SessionGraph*>& sessions,
     double capacity);
-
-/// Joint load factor of per-session rate vectors: max over receivers of
-/// (total own + neighborhood rate) / C, with neighborhoods taken from the
-/// topology's interference relation.
-double multi_broadcast_load_factor(
-    const net::Topology& topology,
-    const std::vector<const routing::SessionGraph*>& sessions,
-    const std::vector<std::vector<double>>& b, double capacity);
-
-/// Scales *all* sessions' rates by a common factor so the joint constraint
-/// holds; returns the factor.
-double multi_rescale_to_feasible(
-    const net::Topology& topology,
-    const std::vector<const routing::SessionGraph*>& sessions,
-    std::vector<std::vector<double>>& b, double capacity);
-
-class MultiSessionRateControl {
- public:
-  MultiSessionRateControl(const net::Topology& topology,
-                          std::vector<const routing::SessionGraph*> sessions,
-                          const RateControlParams& params);
-
-  MultiRateControlResult run();
-
- private:
-  const net::Topology& topology_;
-  std::vector<const routing::SessionGraph*> sessions_;
-  RateControlParams params_;
-};
 
 }  // namespace omnc::opt

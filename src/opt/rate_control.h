@@ -1,5 +1,5 @@
 // The distributed rate control algorithm of Table 1 — the paper's core
-// contribution.
+// contribution — for K >= 1 unicast sessions sharing one channel.
 //
 // The sUnicast program is decomposed by relaxing the coupling constraint
 // b_i p_ij >= x_ij with Lagrange multipliers lambda_ij:
@@ -20,6 +20,13 @@
 //   Master: lambda_ij is updated by the projected subgradient step (8) with
 //     diminishing step sizes theta(t) = A / (B + C t).
 //
+// The multiple-unicast extension the paper's conclusion points to runs the
+// same loop over K sessions: each keeps its own SUB1, lambda and b, and one
+// shared price beta_i per node charges the sessions' *total* load in (4)
+// (SharedChannel, sunicast.h).  Every session maximizes ln(gamma), so the
+// equilibrium is proportionally fair across sessions.  The single-session
+// controller is the K = 1 run, bit for bit.
+//
 // Everything a real deployment would exchange over the air (rates and
 // congestion prices to neighbors, Bellman-Ford distance vectors) is counted
 // in `messages`.
@@ -28,6 +35,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "net/topology.h"
+#include "opt/sunicast.h"
 #include "routing/node_selection.h"
 
 namespace omnc::opt {
@@ -56,7 +65,8 @@ struct RateControlParams {
   int max_iterations = 2000;
 };
 
-/// Per-iteration history for convergence plots (the paper's Fig. 1).
+/// Per-iteration history for convergence plots (the paper's Fig. 1); only
+/// the single-session controller records it.
 struct IterationTrace {
   std::vector<double> gamma;                 // recovered gamma-bar per iter
   std::vector<std::vector<double>> b;        // recovered b-bar per iter
@@ -79,6 +89,7 @@ struct RateControlResult {
   std::size_t messages = 0;
 };
 
+/// Table 1 for one session, with N(i) = graph.range_neighbors.
 class DistributedRateControl {
  public:
   DistributedRateControl(const routing::SessionGraph& graph,
@@ -90,6 +101,36 @@ class DistributedRateControl {
  private:
   const routing::SessionGraph& graph_;
   RateControlParams params_;
+  SharedChannel channel_;
+};
+
+struct MultiRateControlResult {
+  bool converged = false;
+  int iterations = 0;
+  /// Recovered throughput estimate per session.
+  std::vector<double> gamma;
+  /// rates[s][local node of session s] in bytes/s.
+  std::vector<std::vector<double>> b;
+  std::size_t messages = 0;
+};
+
+/// Table 1 for K sessions on one topology, with N(i) taken from
+/// Topology::interferes over the union of their nodes.
+class MultiSessionRateControl {
+ public:
+  MultiSessionRateControl(const net::Topology& topology,
+                          std::vector<const routing::SessionGraph*> sessions,
+                          const RateControlParams& params);
+
+  MultiRateControlResult run();
+
+  /// The sessions' shared constraint (4); rescale the joint rates with it.
+  const SharedChannel& channel() const { return channel_; }
+
+ private:
+  std::vector<const routing::SessionGraph*> sessions_;
+  RateControlParams params_;
+  SharedChannel channel_;
 };
 
 }  // namespace omnc::opt

@@ -83,29 +83,85 @@ SUnicastSolution solve_sunicast(const routing::SessionGraph& graph,
   return result;
 }
 
-double broadcast_load_factor(const routing::SessionGraph& graph,
-                             const std::vector<double>& b, double capacity) {
-  OMNC_ASSERT(b.size() == static_cast<std::size_t>(graph.size()));
-  OMNC_ASSERT(capacity > 0.0);
-  double worst = 0.0;
+SharedChannel::SharedChannel(const routing::SessionGraph& graph)
+    : nodes(graph.nodes), neighbors(graph.range_neighbors), member(1) {
   for (int i = 0; i < graph.size(); ++i) {
-    if (i == graph.source) continue;
-    double load = b[static_cast<std::size_t>(i)];
-    for (int j : graph.range_neighbors[static_cast<std::size_t>(i)]) {
-      load += b[static_cast<std::size_t>(j)];
+    is_receiver.push_back(i != graph.source);
+    member.front().push_back(i);
+  }
+}
+
+SharedChannel::SharedChannel(
+    const net::Topology& topology,
+    const std::vector<const routing::SessionGraph*>& sessions) {
+  for (const auto* graph : sessions) {
+    OMNC_ASSERT(graph != nullptr && graph->size() >= 2);
+    nodes.insert(nodes.end(), graph->nodes.begin(), graph->nodes.end());
+  }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  neighbors.resize(nodes.size());
+  for (std::size_t a = 0; a < nodes.size(); ++a) {
+    for (std::size_t b = 0; b < nodes.size(); ++b) {
+      if (a != b && topology.interferes(nodes[a], nodes[b])) {
+        neighbors[a].push_back(static_cast<int>(b));
+      }
     }
+  }
+  is_receiver.assign(nodes.size(), false);
+  for (const auto* graph : sessions) {
+    std::vector<int>& index = member.emplace_back();
+    for (int local = 0; local < graph->size(); ++local) {
+      const auto it =
+          std::lower_bound(nodes.begin(), nodes.end(), graph->node_id(local));
+      index.push_back(static_cast<int>(it - nodes.begin()));
+      if (local != graph->source) {
+        is_receiver[static_cast<std::size_t>(index.back())] = true;
+      }
+    }
+  }
+}
+
+double SharedChannel::load_factor(std::span<const std::vector<double>> b,
+                                  double capacity) const {
+  OMNC_ASSERT(b.size() == member.size());
+  OMNC_ASSERT(capacity > 0.0);
+  std::vector<double> rate(size(), 0.0);  // all sessions' total, per node
+  for (std::size_t s = 0; s < b.size(); ++s) {
+    OMNC_ASSERT(b[s].size() == member[s].size());
+    for (std::size_t local = 0; local < b[s].size(); ++local) {
+      rate[static_cast<std::size_t>(member[s][local])] += b[s][local];
+    }
+  }
+  double worst = 0.0;
+  for (std::size_t i = 0; i < size(); ++i) {
+    if (!is_receiver[i]) continue;
+    double load = rate[i];
+    for (int j : neighbors[i]) load += rate[static_cast<std::size_t>(j)];
     worst = std::max(worst, load / capacity);
   }
   return worst;
 }
 
-double rescale_to_feasible(const routing::SessionGraph& graph,
-                           std::vector<double>& b, double capacity) {
-  const double load = broadcast_load_factor(graph, b, capacity);
+double SharedChannel::rescale_to_feasible(std::span<std::vector<double>> b,
+                                          double capacity) const {
+  const double load = load_factor(b, capacity);
   if (load <= 1.0) return 1.0;
   const double scale = 1.0 / load;
-  for (double& rate : b) rate *= scale;
+  for (std::vector<double>& rates : b) {
+    for (double& rate : rates) rate *= scale;
+  }
   return scale;
+}
+
+double broadcast_load_factor(const routing::SessionGraph& graph,
+                             const std::vector<double>& b, double capacity) {
+  return SharedChannel(graph).load_factor({&b, 1}, capacity);
+}
+
+double rescale_to_feasible(const routing::SessionGraph& graph,
+                           std::vector<double>& b, double capacity) {
+  return SharedChannel(graph).rescale_to_feasible({&b, 1}, capacity);
 }
 
 }  // namespace omnc::opt

@@ -30,7 +30,7 @@ MultiUnicastResult MultiUnicastOmnc::run() {
   result.rc_converged = rc.converged;
   result.rc_iterations = rc.iterations;
   rates_ = std::move(rc.b);
-  opt::multi_rescale_to_feasible(topology_, graphs_, rates_, params.capacity);
+  controller.channel().rescale_to_feasible(rates_, params.capacity);
 
   // One engine (and one MAC) over all sessions; each gets its own token
   // bucket fed by its rate vector.

@@ -3,7 +3,7 @@
 //
 // K sessions share one channel (one SessionEngine, one MAC instance over the
 // union of their selected nodes).  Rates come from the joint distributed
-// rate control (opt/multi_unicast.h), which couples the sessions through
+// rate control (opt/rate_control.h), which couples the sessions through
 // shared congestion prices; each session then runs an independent
 // TokenBucketPolicy and per-(session, node) NodeRuntimes inside the shared
 // engine, and frames carry the session id so receptions dispatch to the
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "net/topology.h"
-#include "opt/multi_unicast.h"
+#include "opt/rate_control.h"
 #include "protocols/metrics.h"
 #include "routing/node_selection.h"
 

@@ -60,6 +60,32 @@ TEST(RateControl, RecoveredRatesNearLpOptimum) {
   EXPECT_LT(result.gamma, 2.0 * lp.gamma);
 }
 
+TEST(RateControl, DiamondOutputsArePinned) {
+  // Table 1 on the Fig. 2 diamond at C = 2*10^4: every det emulation
+  // baseline installs these rates and floods these prices, so any change to
+  // the iteration's arithmetic shows up here first, bit for bit.
+  const routing::SessionGraph graph = diamond_graph();
+  RateControlParams params;
+  params.capacity = 2e4;
+  const RateControlResult result = DistributedRateControl(graph, params).run();
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.iterations, 73);
+  EXPECT_EQ(result.messages, 2044u);
+  EXPECT_EQ(result.gamma, 0x1.cd6b78cd96e95p+13);
+  EXPECT_EQ(result.b,
+            (std::vector<double>{0x1.41413cbc5ea07p+13, 0x1.399def471eed9p+13,
+                                 0x1.13832d9ca1c23p+13, 0x1.188c46231188cp-1}));
+  EXPECT_EQ(result.x,
+            (std::vector<double>{0x1.e021684d44bb8p+12, 0x1.bab5894de916fp+12,
+                                 0x1.e021684d44bb8p+12, 0x1.bab5894de916fp+12}));
+  EXPECT_EQ(result.lambda,
+            (std::vector<double>{0x1.4e23c45a8c5dap-3, 0x1.5003d3aba2383p+0,
+                                 0x1.4474b051b6d78p+0, 0x1.c7b149221e345p-5}));
+  EXPECT_EQ(result.beta,
+            (std::vector<double>{0.0, 0x1.b605682fd23fp-1,
+                                 0x1.4c3b0bd96859bp-6, 0.0}));
+}
+
 TEST(RateControl, FeasibleAfterRescale) {
   const routing::SessionGraph graph = diamond_graph();
   RateControlParams params;

@@ -7,7 +7,7 @@
 //                 [--sessions N] [--shards K]
 //                 [--code-family dense|systematic|banded[:W]] [--band-width W]
 //                 [--auto-tune] [--tune-target P]
-//                 [--clock real|warp|det] [--speedup X] [--time-scale X]
+//                 [--clock real|warp|det] [--speedup X]
 //                 [--timeout S] [--virtual-timeout S] [--probe-window S]
 //                 [--oracle-rates] [--cross-check] [--tol-lo R] [--tol-hi R]
 //                 [--fault-plan SPEC] [--json PATH] [--trace PATH] [--metrics]
@@ -19,7 +19,13 @@
 //                   (ephemeral ports), lossless in practice    (loopback)
 //   --topology      diamond: the paper's Fig. 2 four-node relay diamond;
 //                   chain: a (--hops)-link line with --link-p   (diamond)
-//   --generations   generations the source must deliver              (8)
+//   --hops          chain links, in [1, 1024]                        (3)
+//   --link-p        chain link reception probability, in (0, 1]     (0.8)
+//   --generations   generations the source must deliver, >= 1        (8)
+//   --gen-blocks    blocks per generation, in [1, 65535]               (8)
+//   --block-bytes   bytes per block, in [1, 65535]                    (64)
+//   --capacity      MAC capacity C in bytes/s, > 0                   (2e4)
+//   --cbr           source rate in bytes/s, > 0                      (1e4)
 //   --sessions      concurrent unicast sessions multiplexed over ONE
 //                   shared transport (SessionMux, DESIGN.md §16):
 //                   session s runs wire session id 1+s with seeds
@@ -44,7 +50,6 @@
 //                   stepping (exact seed replay)                  (real)
 //   --speedup       virtual seconds per wall second (real clock); also
 //                   sets the virtual node-step cadence everywhere   (20)
-//   --time-scale    alias for --speedup
 //   --timeout       wall-clock budget in seconds (real clock)       (60)
 //   --virtual-timeout  virtual-seconds budget, all clocks
 //                      (0 = timeout x speedup)                      (0)
@@ -77,10 +82,15 @@
 //                   stderr at every snapshot                        (1)
 //
 // Exit status: 0 when every session's destination decoded every generation
-// with the correct bytes (and the cross-check, if requested, passed).
+// with the correct bytes (and the cross-check, if requested, passed); 2 when
+// a flag is unknown or out of range, before anything runs.  A flag the run
+// never read (a typo, or one this mode ignores) draws a warning on stderr.
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,7 +115,43 @@ using namespace omnc;
 
 namespace {
 
-net::Topology make_topology(const std::string& name, int hops, double link_p) {
+[[noreturn]] void reject(const char* name, const char* range,
+                         const std::string& value) {
+  std::fprintf(stderr, "--%s must be %s (got %s)\n", name, range,
+               value.c_str());
+  std::exit(2);
+}
+
+/// A whole-number flag in [lo, hi]; `range` says so in the rejection.
+long int_flag(const Options& options, const char* name, long fallback,
+              long lo, long hi, const char* range) {
+  if (!options.has(name)) return fallback;
+  const std::string text = options.get(name, "");
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    reject(name, range, text);
+  }
+  return value;
+}
+
+/// A finite real flag in (0, hi]; `range` says so in the rejection.
+double positive_flag(const Options& options, const char* name,
+                     double fallback, const char* range,
+                     double hi = std::numeric_limits<double>::max()) {
+  if (!options.has(name)) return fallback;
+  const std::string text = options.get(name, "");
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !(value > 0.0 && value <= hi)) {
+    reject(name, range, text);
+  }
+  return value;
+}
+
+net::Topology make_topology(const std::string& name, const Options& options) {
   if (name == "diamond") {
     // The Fig. 2 diamond: source 0, relays 1/2, destination 3.
     std::vector<std::vector<double>> p(4, std::vector<double>(4, 0.0));
@@ -116,7 +162,12 @@ net::Topology make_topology(const std::string& name, int hops, double link_p) {
     return net::Topology::from_link_matrix(p);
   }
   if (name == "chain") {
-    const int n = hops + 1;
+    // The link matrix below is dense, so its size grows with the square
+    // of the hop count: 1024 hops already take 8 MB.
+    const int n = static_cast<int>(
+        int_flag(options, "hops", 3, 1, 1024, "in [1, 1024]")) + 1;
+    const double link_p =
+        positive_flag(options, "link-p", 0.8, "in (0, 1]", 1.0);
     std::vector<std::vector<double>> p(static_cast<std::size_t>(n),
                                        std::vector<double>(n, 0.0));
     for (int i = 0; i + 1 < n; ++i) {
@@ -137,22 +188,21 @@ int main(int argc, char** argv) {
 
   const std::string transport_name = options.get("transport", "loopback");
   const std::string topology_name = options.get("topology", "diamond");
-  const int hops = static_cast<int>(options.get_int("hops", 3));
-  const double link_p = options.get_double("link-p", 0.8);
   const std::uint64_t seed = options.get_seed("seed", 1);
 
   emu::MuxConfig mux_config;
   emu::EmuConfig& config = mux_config.emu;
-  config.node.coding.generation_blocks =
-      static_cast<std::uint16_t>(options.get_int("gen-blocks", 8));
-  config.node.coding.block_bytes =
-      static_cast<std::uint16_t>(options.get_int("block-bytes", 64));
+  config.node.coding.generation_blocks = static_cast<std::uint16_t>(
+      int_flag(options, "gen-blocks", 8, 1, 65535, "in [1, 65535]"));
+  config.node.coding.block_bytes = static_cast<std::uint16_t>(
+      int_flag(options, "block-bytes", 64, 1, 65535, "in [1, 65535]"));
   config.node.session_id = 1;
   config.node.data_seed = seed;
   config.node.rng_seed = seed;
-  config.node.cbr_bytes_per_s = options.get_double("cbr", 1e4);
-  config.node.max_generations =
-      static_cast<int>(options.get_int("generations", 8));
+  config.node.cbr_bytes_per_s = positive_flag(options, "cbr", 1e4, "> 0");
+  config.node.max_generations = static_cast<int>(
+      int_flag(options, "generations", 8, 1, std::numeric_limits<int>::max(),
+               ">= 1"));
   codes::CodeSpec code_spec = codes::CodeSpec::from_env();
   const std::string family_arg = options.get("code-family", "");
   if (!family_arg.empty() && !codes::CodeSpec::parse(family_arg, &code_spec)) {
@@ -178,21 +228,17 @@ int main(int argc, char** argv) {
                  clock_name.c_str());
     return 2;
   }
-  config.speedup =
-      options.get_double("time-scale", options.get_double("speedup", 20.0));
+  config.speedup = options.get_double("speedup", 20.0);
   config.wall_timeout_s = options.get_double("timeout", 60.0);
   config.virtual_timeout_s = options.get_double("virtual-timeout", 0.0);
-  const double capacity = options.get_double("capacity", 2e4);
-  const int sessions = static_cast<int>(options.get_int("sessions", 1));
+  const double capacity = positive_flag(options, "capacity", 2e4, "> 0");
+  const int sessions = static_cast<int>(int_flag(
+      options, "sessions", 1, 1, std::numeric_limits<int>::max(), ">= 1"));
   const int shards = static_cast<int>(options.get_int("shards", 0));
-  if (sessions < 1) {
-    std::fprintf(stderr, "--sessions must be >= 1\n");
-    return 2;
-  }
   mux_config.sessions = sessions;
   mux_config.shards = shards;
 
-  const net::Topology topo = make_topology(topology_name, hops, link_p);
+  const net::Topology topo = make_topology(topology_name, options);
   const net::NodeId destination = static_cast<net::NodeId>(topo.node_count() - 1);
   const routing::SessionGraph graph = routing::select_nodes(topo, 0, destination);
   if (graph.size() == 0) {
@@ -696,5 +742,9 @@ int main(int argc, char** argv) {
   }
 
   bench::finish_obs(obs);
+  for (const std::string& name : options.unused()) {
+    std::fprintf(stderr, "omnc_emu: --%s has no effect in this run\n",
+                 name.c_str());
+  }
   return ok ? 0 : 1;
 }
