@@ -26,6 +26,10 @@ protocols::NodeRuntime make_runtime(const routing::SessionGraph& graph,
 
 }  // namespace
 
+// The data phase opens this many virtual seconds after the link-probe
+// window closes (at 0.5 s when probing is off).
+constexpr double kDataStartGapS = 0.5;
+
 EmuNode::EmuNode(const routing::SessionGraph& graph, int local,
                  Transport& transport, const EmuNodeConfig& config)
     : graph_(graph),
@@ -36,7 +40,8 @@ EmuNode::EmuNode(const routing::SessionGraph& graph, int local,
       rng_(Rng(config.rng_seed).fork(7000 + static_cast<std::uint64_t>(local))),
       packet_air_bytes_(static_cast<double>(coding::CodedPacket::kHeaderBytes +
                                             config.coding.generation_blocks +
-                                            config.coding.block_bytes)) {
+                                            config.coding.block_bytes)),
+      data_start_s_(config.probe_window_s + kDataStartGapS) {
   OMNC_ASSERT(local_ >= 0 && local_ < graph_.size());
   const std::size_t n = static_cast<std::size_t>(graph_.size());
   forwarded_acks_.resize(n);
@@ -141,6 +146,9 @@ void EmuNode::step_local(double now) {
   pace(now);
 }
 
+// Cap of the resync wait, which doubles per unanswered request.
+constexpr double kResyncBackoffMaxS = 12.0;
+
 void EmuNode::run_recovery(double now) {
   // Silence-triggered resync: only non-source nodes re-request state (the
   // source *is* the session's state of record).
@@ -170,12 +178,15 @@ void EmuNode::run_recovery(double now) {
     sink_(event);
   }
   last_resync_send_ = now;
-  resync_wait_s_ = std::min(resync_wait_s_ * 2.0, config_.resync_backoff_max_s);
+  resync_wait_s_ = std::min(resync_wait_s_ * 2.0, kResyncBackoffMaxS);
 }
+
+// Beacons each node sends during the link-probe window.
+constexpr int kProbeBeacons = 50;
 
 void EmuNode::run_probe(double now) {
   const double window = config_.probe_window_s;
-  const int count = std::max(1, config_.probe_beacons);
+  const int count = kProbeBeacons;
   const double interval = window / static_cast<double>(count);
   while (beacons_sent_ < count &&
          now >= static_cast<double>(beacons_sent_) * interval) {
@@ -200,6 +211,11 @@ void EmuNode::run_probe(double now) {
   }
 }
 
+// Caps of the stall boost: the timer and the redundancy multiplier each
+// double per stall up to these.
+constexpr double kStallBackoffMaxS = 6.0;
+constexpr double kRedundancyBoostMax = 4.0;
+
 void EmuNode::run_source(double now) {
   if (is_price_origin_) flood_prices(now);
   const double st = session_time(now);
@@ -219,9 +235,8 @@ void EmuNode::run_source(double now) {
   if (config_.stall_timeout_s > 0.0 && runtime_.generation_active() &&
       now >= stall_deadline_) {
     redundancy_boost_ =
-        std::min(redundancy_boost_ * 2.0, config_.redundancy_boost_max);
-    stall_timeout_cur_ =
-        std::min(stall_timeout_cur_ * 2.0, config_.stall_backoff_max_s);
+        std::min(redundancy_boost_ * 2.0, kRedundancyBoostMax);
+    stall_timeout_cur_ = std::min(stall_timeout_cur_ * 2.0, kStallBackoffMaxS);
     stall_deadline_ = now + stall_timeout_cur_;
     ++stats_.stall_boosts;
     if (sink_) {
@@ -238,14 +253,20 @@ void EmuNode::run_source(double now) {
   }
 }
 
+// Price reflood period (virtual seconds).
+constexpr double kPriceRepeatS = 0.5;
+
 void EmuNode::flood_prices(double now) {
-  if (price_flooded_once_ && now - last_price_flood_ < config_.price_repeat_s) {
+  if (price_flooded_once_ && now - last_price_flood_ < kPriceRepeatS) {
     return;
   }
   for (const wire::Frame& frame : price_frames_) broadcast(frame);
   price_flooded_once_ = true;
   last_price_flood_ = now;
 }
+
+// Fast ACK repeat period (virtual seconds), before ack_repeat_limit.
+constexpr double kAckRepeatS = 0.05;
 
 void EmuNode::run_destination(double now) {
   if (!have_ack_ || source_moved_on_) return;
@@ -259,7 +280,7 @@ void EmuNode::run_destination(double now) {
     send_ack(now);
     return;
   }
-  if (now - last_ack_send_ < config_.ack_repeat_s) return;
+  if (now - last_ack_send_ < kAckRepeatS) return;
   ++last_ack_.ack_seq;
   ++ack_resends_;
   send_ack(now);
@@ -269,6 +290,9 @@ void EmuNode::send_ack(double now) {
   broadcast(wire::make_ack(config_.session_id, last_ack_));
   last_ack_send_ = now;
 }
+
+// A stale price decays the installed rate toward this fraction of it.
+constexpr double kPriceDecayFloor = 0.1;
 
 double EmuNode::effective_rate(double now) {
   if (runtime_.role() == protocols::NodeRuntime::Role::kSource) {
@@ -282,7 +306,7 @@ double EmuNode::effective_rate(double now) {
         price_stale_ = true;
         ++stats_.price_decays;
       }
-      rate *= std::max(config_.price_decay_floor,
+      rate *= std::max(kPriceDecayFloor,
                        std::exp(-stale / config_.price_decay_tau_s));
     } else {
       price_stale_ = false;
@@ -290,6 +314,9 @@ double EmuNode::effective_rate(double now) {
   }
   return rate;
 }
+
+// Token-bucket burst cap, in packets.
+constexpr double kBurstPackets = 8.0;
 
 void EmuNode::pace(double now) {
   if (!pace_started_) {
@@ -300,7 +327,7 @@ void EmuNode::pace(double now) {
   const double dt = std::max(0.0, now - last_pace_time_);
   last_pace_time_ = now;
   if (rate_bytes_per_s_ <= 0.0) return;
-  tokens_ = std::min(config_.burst_packets * packet_air_bytes_,
+  tokens_ = std::min(kBurstPackets * packet_air_bytes_,
                      tokens_ + effective_rate(now) * dt);
   if (runtime_.role() == protocols::NodeRuntime::Role::kDestination) return;
   if (session_time(now) < 0.0) return;
@@ -545,6 +572,12 @@ void EmuNode::handle_ack(double now, const wire::GenerationAck& ack) {
   (void)now;
 }
 
+// Minimum virtual seconds between re-floods of one node's price.  The
+// forward gap sits just under the reflood period (kPriceRepeatS) so each
+// periodic reflood propagates once — a smaller gap lets forwarded copies
+// re-trigger each other into a control storm.
+constexpr double kPriceForwardMinGapS = 0.45;
+
 void EmuNode::handle_price(double now, const wire::PriceUpdate& price) {
   if (is_price_origin_) return;  // the source originates, never re-installs
   if (price.node_local == static_cast<std::uint16_t>(local_) &&
@@ -559,13 +592,13 @@ void EmuNode::handle_price(double now, const wire::PriceUpdate& price) {
     last_price_time_ = now;
   }
   // Re-flood: once per new iteration, and at most once per
-  // price_forward_min_gap_s per advertised node otherwise (so repeated
+  // kPriceForwardMinGapS per advertised node otherwise (so repeated
   // source floods still propagate to nodes the first wave missed).
   const std::size_t index = price.node_local;
   if (index >= last_price_forward_.size()) return;
   const bool new_iteration = price.iteration > forwarded_price_iter_[index];
   const bool gap_elapsed =
-      now - last_price_forward_[index] >= config_.price_forward_min_gap_s;
+      now - last_price_forward_[index] >= kPriceForwardMinGapS;
   if (new_iteration || gap_elapsed) {
     forwarded_price_iter_[index] = price.iteration;
     last_price_forward_[index] = now;

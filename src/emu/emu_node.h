@@ -72,56 +72,39 @@ struct EmuNodeConfig {
 
   double cbr_bytes_per_s = 1e4;
   int max_generations = 8;
-  double burst_packets = 8.0;  // token-bucket burst cap, in packets
-
-  // Virtual time (seconds) when the data phase opens; the CBR gate and all
-  // reported latencies/throughputs run on "session time" = now - data_start,
-  // which keeps them comparable with the slot simulator's t = 0 start.
-  double data_start_s = 0.5;
 
   // ACK flood tuning (virtual seconds).  After ack_repeat_limit fast
   // repeats the destination falls back to a slow keepalive cadence — it
   // must never go mute, or a lossy reverse path deadlocks the source.
-  double ack_repeat_s = 0.05;
   int ack_repeat_limit = 400;
   double ack_keepalive_s = 0.5;
 
   // Source stall detection (virtual seconds): a generation active with no
   // ACK for stall_timeout_s doubles the source's redundancy boost (token
-  // refill multiplier, capped at redundancy_boost_max) and the timer itself
-  // (capped at stall_backoff_max_s), so reverse-path loss is answered with
+  // refill multiplier, capped at kRedundancyBoostMax) and the timer itself
+  // (capped at kStallBackoffMaxS), so reverse-path loss is answered with
   // bounded extra forward redundancy instead of an idle wait.  0 disables.
   double stall_timeout_s = 0.75;
-  double stall_backoff_max_s = 6.0;
-  double redundancy_boost_max = 4.0;
 
   // Price staleness (non-source nodes): a rate installed from a PriceUpdate
   // older than price_stale_s decays exponentially with time constant
-  // price_decay_tau_s toward price_decay_floor x installed, so a partitioned
+  // price_decay_tau_s toward kPriceDecayFloor x installed, so a partitioned
   // node's λ/β prices cannot pin its transmit rate forever.  0 disables.
   double price_stale_s = 2.0;
   double price_decay_tau_s = 2.0;
-  double price_decay_floor = 0.1;
 
   // Resync (non-source nodes): silence longer than the current wait (starts
-  // at resync_silence_s, doubling per attempt up to resync_backoff_max_s,
+  // at resync_silence_s, doubling per attempt up to kResyncBackoffMaxS,
   // reset by any valid frame) triggers a ResyncRequest broadcast; the source
   // answers with ResyncInfo + a price reflood, rate-limited to one reply per
   // resync_reply_min_gap_s.  0 disables.
   double resync_silence_s = 1.5;
-  double resync_backoff_max_s = 12.0;
   double resync_reply_min_gap_s = 0.2;
 
-  // Price flood tuning (virtual seconds).  The forward gap sits just under
-  // the reflood period so each periodic reflood propagates once — a smaller
-  // gap lets forwarded copies re-trigger each other into a control storm.
-  double price_repeat_s = 0.5;
-  double price_forward_min_gap_s = 0.45;
-
-  // Link-probe phase: 0 disables.  Beacons are evenly spaced in
-  // [0, probe_window_s); reports go out once the window closes.
+  // Link-probe phase: 0 disables.  kProbeBeacons beacons are evenly spaced
+  // in [0, probe_window_s); reports go out once the window closes, and the
+  // data phase opens half a virtual second later.
   double probe_window_s = 0.0;
-  int probe_beacons = 50;
 };
 
 class EmuNode {
@@ -222,7 +205,7 @@ class EmuNode {
   void send_ack(double now);
   void flood_prices(double now);
   double effective_rate(double now);
-  double session_time(double now) const { return now - config_.data_start_s; }
+  double session_time(double now) const { return now - data_start_s_; }
 
   const routing::SessionGraph& graph_;
   int local_;
@@ -231,6 +214,10 @@ class EmuNode {
   protocols::NodeRuntime runtime_;
   Rng rng_;
   double packet_air_bytes_;
+  // Virtual time (seconds) when the data phase opens; the CBR gate and all
+  // reported latencies/throughputs run on "session time" = now - data_start,
+  // which keeps them comparable with the slot simulator's t = 0 start.
+  double data_start_s_;
 
   std::function<void(const protocols::MetricEvent&)> sink_;
   std::function<void(const obs::SpanEvent&)> span_sink_;

@@ -57,11 +57,6 @@ class LoopbackTransport::QueueReadiness final : public TransportReadiness {
   explicit QueueReadiness(const LoopbackTransport& transport)
       : transport_(transport) {}
 
-  bool poll_ready(std::vector<int>* ready) override {
-    (void)ready;
-    return false;
-  }
-
   bool pending(int node) override {
     OMNC_ASSERT(node >= 0 && node < transport_.n_);
     return transport_.queued_[static_cast<std::size_t>(node)].load(

@@ -66,9 +66,8 @@ class LoopbackTransport final : public Transport {
   std::size_t poll(int to, const Handler& handler) override;
   TransportStats stats() const override;
 
-  /// A readiness set whose per-node answer is exact: pending(i) is true
-  /// exactly when a copy for i is queued, due or not.  Its batch poll_ready
-  /// returns false, so sharded loops keep polling every node each tick.
+  /// A readiness set whose answer is exact: pending(i) is true exactly when
+  /// a copy for i is queued, due or not.
   std::unique_ptr<TransportReadiness> make_readiness(
       std::span<const int> nodes) override;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <numeric>
 #include <set>
 #include <thread>
 #include <utility>
@@ -12,8 +11,16 @@
 #include "wire/frame.h"
 
 namespace omnc::emu {
+namespace {
 
-/// Serializes metric + span events from worker threads and the transport
+/// Node scheduling period: each node steps every kPollSleepUs * speedup
+/// microseconds of virtual time (under kReal that is a wall sleep of
+/// kPollSleepUs between rounds).
+constexpr int kPollSleepUs = 200;
+
+}  // namespace
+
+/// Serializes metric + span events from shard threads and the transport
 /// observer into the caller's sinks, stamping transport events with the run
 /// clock's virtual time — the same clock the nodes and fault schedules read,
 /// so mux and injector timestamps can never skew apart.  Per-session
@@ -270,7 +277,8 @@ void SessionMux::drain_and_step(double now, int node, bool drain) {
   }
 }
 
-bool SessionMux::all_completed() const {
+bool SessionMux::done(double now, double horizon) const {
+  if (now >= horizon) return true;
   for (const auto& session_nodes : nodes_) {
     if (session_nodes[static_cast<std::size_t>(graph_.source)]
             ->completed_generations() < config_.emu.node.max_generations) {
@@ -280,99 +288,32 @@ bool SessionMux::all_completed() const {
   return true;
 }
 
-void SessionMux::run_threaded(vtime::Clock& clock, double tick, double horizon,
-                              int shards) {
-  // Every shard worker plus the completion watcher (this thread) joins the
-  // clock; under kWarp all of them must sleep or leave for time to advance.
-  clock.start(shards + 1);
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(shards));
-  for (int shard = 0; shard < shards; ++shard) {
-    workers.emplace_back([&, shard] {
-      // This worker owns the node indices congruent to its shard id: it is
-      // "node i's thread" in the Transport contract for every owned i, and
-      // every session's runtime at those nodes steps here too — the socket
-      // is the serialization domain.
-      std::vector<int> owned;
-      for (int node = shard; node < graph_.size(); node += shards) {
-        owned.push_back(node);
-      }
-      const std::unique_ptr<TransportReadiness> readiness =
-          transport_.make_readiness(owned);
-      std::vector<int> ready;
-      std::vector<char> pending(static_cast<std::size_t>(graph_.size()), 0);
-      double next = tick;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const double now = clock.now();
-        bool have_ready = false;
-        if (readiness != nullptr) {
-          ready.clear();
-          have_ready = readiness->poll_ready(&ready);
-          for (const int node : ready) {
-            pending[static_cast<std::size_t>(node)] = 1;
-          }
-        }
-        for (const int node : owned) {
-          // Without a readiness signal every socket is polled (always
-          // correct); with one, idle sockets cost nothing this tick.
-          const bool drain =
-              !have_ready || pending[static_cast<std::size_t>(node)] != 0;
-          drain_and_step(now, node, drain);
-        }
-        for (const int node : ready) {
-          pending[static_cast<std::size_t>(node)] = 0;
-        }
-        clock.sleep_until(next);
-        next += tick;
-      }
-      // One final unconditional drain so late frames still reach counters.
-      const double now = clock.now();
-      for (const int node : owned) drain_and_step(now, node, true);
-      clock.leave();
-    });
-  }
-
+void SessionMux::run_shard(vtime::Clock& clock, std::span<const int> owned,
+                           double tick, double horizon) {
+  // This shard is "node i's thread" in the Transport contract for every
+  // owned i, and every session's runtime at those nodes steps here too —
+  // the socket is the serialization domain.
+  const std::unique_ptr<TransportReadiness> readiness =
+      transport_.make_readiness(owned);
   double next = tick;
-  while (clock.now() < horizon) {
-    if (all_completed()) break;
+  while (!done(clock.now(), horizon)) {
     clock.sleep_until(next);
     next += tick;
-  }
-  stop.store(true, std::memory_order_relaxed);
-  // The watcher departs first so sleeping workers keep advancing to their
-  // next tick, observe `stop`, and drain out.
-  clock.leave();
-  for (std::thread& worker : workers) worker.join();
-}
-
-void SessionMux::run_deterministic(vtime::DeterministicClock& clock,
-                                   double tick, double horizon) {
-  clock.start(1);
-  std::vector<int> all(static_cast<std::size_t>(graph_.size()));
-  std::iota(all.begin(), all.end(), 0);
-  const std::unique_ptr<TransportReadiness> readiness =
-      transport_.make_readiness(all);
-  while (clock.now() < horizon) {
-    if (all_completed()) break;
-    clock.advance_to(clock.now() + tick);
-    // Fixed node-major, then session order: together with the cooperative
-    // clock this makes the whole run a pure function of the configured
-    // seeds.
+    // Fixed node-major, then session order: under the deterministic clock
+    // this makes the whole run a pure function of the configured seeds.
     const double now = clock.now();
-    for (int node = 0; node < graph_.size(); ++node) {
-      // Asked right before the drain, so a copy that a lower-numbered node
-      // sent earlier in this tick still arrives in this tick.  A skipped
-      // poll is one that would have delivered nothing (DESIGN.md §10.3).
+    for (const int node : owned) {
+      // Asked right before the drain, so a copy that a node earlier in this
+      // pass sent still arrives in this tick.  A skipped poll is one that
+      // would have delivered nothing (DESIGN.md §10.3).
       const bool drain = readiness == nullptr || readiness->pending(node);
       drain_and_step(now, node, drain);
     }
   }
+  // One final unconditional drain so late frames still reach counters.
   const double now = clock.now();
-  for (int node = 0; node < graph_.size(); ++node) {
-    drain_and_step(now, node, true);
-  }
+  for (const int node : owned) drain_and_step(now, node, true);
+  clock.leave();
 }
 
 EmuRunResult SessionMux::session_result(int session,
@@ -448,20 +389,33 @@ MuxRunResult SessionMux::run() {
   transport_.bind_clock(clock.get());
 
   // One node scheduling round per `tick` virtual seconds.
-  const double tick = static_cast<double>(config_.emu.poll_sleep_us) * 1e-6 *
-                      config_.emu.speedup;
+  const double tick =
+      static_cast<double>(kPollSleepUs) * 1e-6 * config_.emu.speedup;
   const double horizon = config_.emu.horizon_s();
-  OMNC_ASSERT_MSG(tick > 0.0, "poll_sleep_us and speedup must be positive");
+  OMNC_ASSERT_MSG(tick > 0.0, "speedup must be positive");
 
-  if (config_.emu.clock_mode == vtime::ClockMode::kDeterministic) {
-    run_deterministic(static_cast<vtime::DeterministicClock&>(*clock), tick,
-                      horizon);
+  // Shard k owns the node indices congruent to k.  One shard runs on this
+  // thread; K > 1 run on K threads, each joining the clock as a participant.
+  const int shards =
+      config_.emu.clock_mode == vtime::ClockMode::kDeterministic
+          ? 1
+          : std::clamp(config_.shards, 1, graph_.size());
+  std::vector<std::vector<int>> owned(static_cast<std::size_t>(shards));
+  for (int node = 0; node < graph_.size(); ++node) {
+    owned[static_cast<std::size_t>(node % shards)].push_back(node);
+  }
+  clock->start(shards);
+  if (shards == 1) {
+    run_shard(*clock, owned.front(), tick, horizon);
   } else {
-    int shards = config_.shards > 0
-                     ? config_.shards
-                     : static_cast<int>(std::thread::hardware_concurrency());
-    shards = std::clamp(shards, 1, graph_.size());
-    run_threaded(*clock, tick, horizon, shards);
+    std::vector<std::thread> workers;
+    workers.reserve(owned.size());
+    for (const std::vector<int>& slice : owned) {
+      workers.emplace_back([this, &clock, &slice, tick, horizon] {
+        run_shard(*clock, slice, tick, horizon);
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
   }
   const double virtual_elapsed = clock->now();
   transport_.set_observer(nullptr);

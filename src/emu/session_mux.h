@@ -10,29 +10,33 @@
 //
 // All timing flows through one vtime::Clock (DESIGN.md §12) that the mux
 // creates per run and binds to the transport, so nodes, delay queues, fault
-// schedules, and event timestamps share a single origin.  The clock mode
-// picks the execution strategy:
+// schedules, and event timestamps share a single origin.  Every clock runs
+// the same per-shard loop (run_shard): check the stop rule, sleep to the
+// next tick, then drain and step each owned node.  The clock mode says how
+// a sleep passes:
 //
-//   * kReal — K shard workers; virtual time is wall time times `speedup`,
-//     so a 60-virtual-second session finishes in a few wall seconds.
-//   * kWarp — K shard workers; virtual time jumps tick to tick as fast as
-//     the workers can step, so the same session finishes in milliseconds.
-//   * kDeterministic — no threads; nodes step round-robin on a cooperative
-//     clock, making the whole run (packet counts, goodput, traces) a pure
-//     function of the seeds.  Each tick polls only the nodes the transport
-//     reports a queued copy for; a skipped poll would have delivered
-//     nothing (DESIGN.md §10.3).
+//   * kReal — virtual time is wall time times `speedup`, so a
+//     60-virtual-second session finishes in a few wall seconds.
+//   * kWarp — virtual time jumps tick to tick as fast as the loop can step,
+//     so the same session finishes in milliseconds.
+//   * kDeterministic — a cooperative clock on the calling thread, making
+//     the whole run (packet counts, goodput, traces) a pure function of the
+//     seeds.
+//
+// A shard polls a node only when the transport's readiness set says a copy
+// is queued for it, asked right before that node's drain; a skipped poll
+// would have delivered nothing (DESIGN.md §10.3).
 //
 // Sharding model — the socket is the serialization domain.  The Transport
 // contract says send(i)/poll(i) run only on node i's thread; with sessions
 // sharing node i's socket, every runtime collocated at node i must live on
-// the same thread.  So the mux shards by physical node, not by session: K
-// worker threads each own a slice of node indices, and per tick a worker
+// the same thread.  So the mux shards by physical node, not by session.  One
+// shard (the default, and always under kDeterministic) runs on the calling
+// thread over every node; K > 1 shards under kReal/kWarp are K threads,
+// each owning the node indices congruent to its shard id.  Per tick a shard
 // drains each owned node's socket once (recvmmsg-batched on UDP), routes
 // each frame to the right session's runtime at that node, then steps every
-// session's runtime there.  Thread count is K, independent of S.  Workers
-// ask the transport for a TransportReadiness set (epoll on UDP) so idle
-// sockets cost nothing.
+// session's runtime there.  Thread count is K, independent of S.
 //
 // Demux hygiene: a frame reaches a session's runtime only after
 // (a) peek_session succeeds (malformed/truncated headers are unroutable —
@@ -41,16 +45,16 @@
 // (a disagreement is corruption or forgery and must not leak across
 // sessions).  Rejections are counted per reason in MuxRunResult.
 //
-// The run stops when every session's source has retired `max_generations`
-// generations or the virtual horizon expires.
+// Each shard stops when every session's source has retired
+// `max_generations` generations or the virtual horizon is reached.
 //
 // Determinism (DESIGN.md §10/§12): coding coefficients and loopback losses
-// are seed-deterministic in every mode; under kReal/kWarp *timing* — and
-// therefore exact packet counts and goodput — still varies with thread
-// scheduling, so cross-checks use tolerances there.  Under kDeterministic
-// the mux runs single-threaded round-robin (node-major, then session
-// order), so same-seed runs are byte-identical end to end and comparisons
-// can demand exact equality.
+// are seed-deterministic in every mode.  Under kDeterministic the one shard
+// steps node-major, then session order, so same-seed runs are
+// byte-identical end to end and comparisons can demand exact equality; warp
+// at one shard is that same run.  Under kReal, and under kWarp at K > 1,
+// *timing* — and therefore exact packet counts and goodput — varies with
+// thread scheduling, so cross-checks use tolerances there.
 #pragma once
 
 #include <atomic>
@@ -85,11 +89,6 @@ struct EmuConfig {
   /// Virtual-seconds budget.  0 means wall_timeout_s * speedup, which keeps
   /// the three clock modes cutting off at the same *virtual* horizon.
   double virtual_timeout_s = 0.0;
-
-  /// Node scheduling period: each node steps every poll_sleep_us * speedup
-  /// microseconds of virtual time (under kReal that is a wall sleep of
-  /// poll_sleep_us between rounds).
-  int poll_sleep_us = 200;
 
   /// The virtual second a run is cut off at.
   double horizon_s() const {
@@ -135,10 +134,13 @@ struct MuxConfig {
   /// Concurrent unicast sessions over the shared transport.
   int sessions = 1;
 
-  /// Worker threads under kReal/kWarp; each owns the node indices congruent
-  /// to its shard id.  0 picks min(nodes, hardware threads).  Ignored under
-  /// kDeterministic (single-threaded by definition).  Clamped to [1, nodes].
-  int shards = 0;
+  /// Shards under kReal/kWarp; each owns the node indices congruent to its
+  /// shard id.  One runs on the calling thread, K > 1 are K threads; over
+  /// UDP one thread falls behind real time on larger topologies, so
+  /// omnc_emu gives UDP runs more (DESIGN.md §16.1).
+  /// Ignored under kDeterministic (one shard by definition).  Clamped to
+  /// [1, nodes].
+  int shards = 1;
 };
 
 struct MuxRunResult {
@@ -209,17 +211,18 @@ class SessionMux {
   class MuxTap;
 
   /// Routes one received frame on node `node` to the owning session's
-  /// runtime; called from the worker thread that owns the node.
+  /// runtime; called from the shard that owns the node.
   void dispatch(double now, int node, int from,
                 std::span<const std::uint8_t> bytes);
   /// Drains node `node`'s transport queue, then advances every session's
   /// runtime at that node (EmuNode::deliver, then EmuNode::step_local).
   void drain_and_step(double now, int node, bool drain);
-  bool all_completed() const;
-  void run_threaded(vtime::Clock& clock, double tick, double horizon,
-                    int shards);
-  void run_deterministic(vtime::DeterministicClock& clock, double tick,
-                         double horizon);
+  /// The stop rule: the horizon is reached, or every session's source has
+  /// retired max_generations.  Safe from any shard.
+  bool done(double now, double horizon) const;
+  /// One shard's run loop over the nodes it owns, in `owned` order.
+  void run_shard(vtime::Clock& clock, std::span<const int> owned,
+                 double tick, double horizon);
   EmuRunResult session_result(int session, double virtual_elapsed) const;
 
   const routing::SessionGraph& graph_;

@@ -19,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "time/clock.h"
 
@@ -88,24 +87,15 @@ class TransportObserver {
   }
 };
 
-/// Non-blocking readiness set over a subset of a transport's nodes, created
-/// by Transport::make_readiness.  A sharded run loop (the session mux) owns
-/// one readiness object per worker thread and asks it each tick which of the
-/// shard's sockets have data pending, skipping the poll syscall on idle ones
-/// — with hundreds of nodes the per-tick cost becomes one epoll_wait instead
-/// of one recv per socket.  The single-threaded deterministic loop instead
-/// asks about one node at a time, right before it would poll that node.
-/// Purely an optimization: polling every node without a readiness object is
-/// always correct.
+/// Per-node readiness over a subset of a transport's nodes, created by
+/// Transport::make_readiness.  Each mux shard owns one and asks it about one
+/// node at a time, right before it would poll that node, so a copy sent by a
+/// node stepped earlier in the same tick still arrives in that tick.  Purely
+/// an optimization: polling every node without a readiness object is always
+/// correct.
 class TransportReadiness {
  public:
   virtual ~TransportReadiness() = default;
-
-  /// Appends the watched node ids that currently have data pending to
-  /// `ready` (without clearing it) and returns true.  Returns false when
-  /// readiness could not be determined this round — the caller must then
-  /// poll every watched node.  Never blocks.
-  virtual bool poll_ready(std::vector<int>* ready) = 0;
 
   /// Whether poll(node) might deliver a frame now, for one watched node.
   /// False is a promise that it would deliver nothing, so the caller may
@@ -146,7 +136,7 @@ class Transport {
   virtual void bind_clock(const vtime::Clock* clock) { clock_ = clock; }
 
   /// Builds a readiness set watching `nodes` (each owned by the calling
-  /// shard), or nullptr when the transport has no cheap readiness signal —
+  /// shard), or nullptr when the transport has no exact per-node answer —
   /// the base implementation — in which case callers poll every node each
   /// tick.  The returned object is only used from the creating thread and
   /// must not outlive the transport.

@@ -12,10 +12,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -35,43 +31,6 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   return addr;
 }
-
-#if defined(__linux__)
-
-/// Epoll readiness over a shard's sockets (level-triggered, zero-timeout
-/// waits): a socket with queued datagrams is reported every round until its
-/// poll() drains it, so a partial drain can never strand data invisibly.
-class EpollReadiness final : public TransportReadiness {
- public:
-  EpollReadiness(int epfd, std::size_t watched)
-      : epfd_(epfd), events_(std::max<std::size_t>(watched, 1)) {}
-  ~EpollReadiness() override { ::close(epfd_); }
-
-  EpollReadiness(const EpollReadiness&) = delete;
-  EpollReadiness& operator=(const EpollReadiness&) = delete;
-
-  bool poll_ready(std::vector<int>* ready) override {
-    for (;;) {
-      const int got = ::epoll_wait(epfd_, events_.data(),
-                                   static_cast<int>(events_.size()), 0);
-      if (got < 0) {
-        if (errno == EINTR) continue;
-        return false;  // caller falls back to polling every node
-      }
-      for (int i = 0; i < got; ++i) {
-        ready->push_back(static_cast<int>(events_[static_cast<std::size_t>(i)]
-                                              .data.u32));
-      }
-      return true;
-    }
-  }
-
- private:
-  int epfd_;
-  std::vector<epoll_event> events_;
-};
-
-#endif  // defined(__linux__)
 
 }  // namespace
 
@@ -200,29 +159,6 @@ UdpTransport::~UdpTransport() {
 std::uint16_t UdpTransport::port_of(int node) const {
   OMNC_ASSERT(node >= 0 && node < n_);
   return ports_[static_cast<std::size_t>(node)];
-}
-
-std::unique_ptr<TransportReadiness> UdpTransport::make_readiness(
-    std::span<const int> nodes) {
-#if defined(__linux__)
-  const int epfd = ::epoll_create1(0);
-  if (epfd < 0) return nullptr;
-  for (const int node : nodes) {
-    OMNC_ASSERT(node >= 0 && node < n_);
-    epoll_event event{};
-    event.events = EPOLLIN;
-    event.data.u32 = static_cast<std::uint32_t>(node);
-    if (::epoll_ctl(epfd, EPOLL_CTL_ADD, fds_[static_cast<std::size_t>(node)],
-                    &event) != 0) {
-      ::close(epfd);
-      return nullptr;
-    }
-  }
-  return std::make_unique<EpollReadiness>(epfd, nodes.size());
-#else
-  (void)nodes;
-  return nullptr;
-#endif
 }
 
 void UdpTransport::send(int from, std::span<const std::uint8_t> frame) {

@@ -11,8 +11,9 @@
 //
 // Sockets are per *node*, never per session: the session mux (DESIGN.md §16)
 // runs many sessions' runtimes behind each socket, so the receive path
-// drains whole batches per syscall (recvmmsg on Linux) and make_readiness()
-// hands sharded run loops an epoll set that skips idle sockets entirely.
+// drains whole batches per syscall (recvmmsg on Linux).  UDP offers no
+// readiness set (the base make_readiness), so the mux polls every socket
+// every tick; an idle socket costs one recvmmsg that finds nothing.
 #pragma once
 
 #include <atomic>
@@ -71,11 +72,6 @@ class UdpTransport final : public Transport {
   void send(int from, std::span<const std::uint8_t> frame) override;
   std::size_t poll(int to, const Handler& handler) override;
   TransportStats stats() const override;
-
-  /// Epoll-backed readiness over `nodes` on Linux; nullptr elsewhere
-  /// (callers fall back to polling every node — always correct).
-  std::unique_ptr<TransportReadiness> make_readiness(
-      std::span<const int> nodes) override;
 
   /// The ephemeral port node `node` is bound to (diagnostics / tests).
   std::uint16_t port_of(int node) const;

@@ -7,9 +7,11 @@
 // run (thread scheduling is nondeterministic, see DESIGN.md §10).
 //
 // The soak runs under the WarpClock (DESIGN.md §12): virtual time advances
-// as fast as the shard workers can step, so sweeping every preset costs
+// as fast as the shards can step, so sweeping every preset costs
 // milliseconds of wall time instead of sleeping through the virtual
 // seconds.  One small RealClock smoke keeps the wall-paced path covered.
+// Every run asks for two shards, so the threaded loop and the warp barrier
+// stay under test (one shard runs inline on the test thread).
 //
 // The run is long enough (in virtual seconds) that the scheduled partition
 // (2-4 s) and blackout (2.5-4.5 s) windows open mid-session.
@@ -51,6 +53,7 @@ MuxConfig soak_config(vtime::ClockMode clock_mode) {
   config.emu.clock_mode = clock_mode;
   config.emu.speedup = 20.0;
   config.emu.wall_timeout_s = 45.0;
+  config.shards = 2;
   return config;
 }
 

@@ -116,7 +116,6 @@ TEST(EmuRecovery, AckKeepaliveBreaksReversePathDeadlock) {
   GateTransport transport(loopback);
 
   EmuNodeConfig config = small_node_config(2);
-  config.ack_repeat_s = 0.05;
   config.ack_repeat_limit = 3;
   config.ack_keepalive_s = 0.3;
   config.stall_timeout_s = 0.25;

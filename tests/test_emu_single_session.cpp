@@ -119,15 +119,19 @@ TEST(SingleSessionEmu, DiamondOverLoopbackMatchesSlotSimulator) {
 TEST(SingleSessionEmu, LoopbackRunsAreDataDeterministic) {
   // Two identically seeded loopback runs decode the same generations with
   // the same data verdict (timing may differ; decoded content must not).
+  // Two warp shards keep the timing free to differ: one shard is the det
+  // run and would make the check trivially true.
   const net::Topology topo = diamond();
   const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
   const opt::RateControlResult rc = rate_control_for(graph);
+  MuxConfig config = fast_emu_config(3);
+  config.shards = 2;
   for (int repeat = 0; repeat < 2; ++repeat) {
     LoopbackConfig loopback;
     loopback.seed = 99;
     LoopbackTransport transport(
         graph.size(), link_matrix_from_topology(topo, graph), loopback);
-    SessionMux mux(graph, transport, fast_emu_config(3));
+    SessionMux mux(graph, transport, config);
     mux.install_price_table(feasible_rates(graph, rc), rc.lambda, rc.beta,
                             rc.iterations);
     const EmuRunResult result = mux.run().sessions.at(0);
@@ -208,7 +212,10 @@ TEST(SingleSessionEmu, MetricSinkSeesTransportAndAckEvents) {
   const opt::RateControlResult rc = rate_control_for(graph);
   LoopbackTransport transport(graph.size(),
                               link_matrix_from_topology(topo, graph));
-  SessionMux mux(graph, transport, fast_emu_config(2));
+  // Two warp shards: the sink then hears from both shard threads at once.
+  MuxConfig config = fast_emu_config(2);
+  config.shards = 2;
+  SessionMux mux(graph, transport, config);
   mux.install_rates(feasible_rates(graph, rc));
   std::size_t sends = 0, delivers = 0, acks = 0;
   mux.set_metric_sink([&](const protocols::MetricEvent& event) {
@@ -232,9 +239,11 @@ TEST(SingleSessionEmu, DiamondOverUdpSmoke) {
   const opt::RateControlResult rc = rate_control_for(graph);
   // UDP datagrams travel through the kernel in *wall* time, so the socket
   // transport stays on the RealClock; warping would outrun the network.
+  // Two shards keep the threaded loop over real sockets under test.
   UdpTransport transport(graph.size());
-  SessionMux mux(graph, transport,
-                 fast_emu_config(2, vtime::ClockMode::kReal));
+  MuxConfig config = fast_emu_config(2, vtime::ClockMode::kReal);
+  config.shards = 2;
+  SessionMux mux(graph, transport, config);
   mux.install_price_table(feasible_rates(graph, rc), rc.lambda, rc.beta,
                           rc.iterations);
   const EmuRunResult result = mux.run().sessions.at(0);

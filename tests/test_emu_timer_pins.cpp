@@ -83,7 +83,6 @@ MuxRunResult run(const Scenario& scenario) {
   emu.node.rng_seed = scenario.seed;
   emu.node.max_generations = scenario.generations;
   emu.node.probe_window_s = scenario.probe_window_s;
-  emu.node.data_start_s = scenario.probe_window_s + 0.5;
   emu.node.ack_repeat_limit = scenario.ack_repeat_limit;
   emu.clock_mode = vtime::ClockMode::kDeterministic;
   config.sessions = scenario.sessions;

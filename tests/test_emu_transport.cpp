@@ -259,17 +259,6 @@ TEST(LoopbackTransport, QueuedCopyReadsPendingBeforeItIsDue) {
   EXPECT_FALSE(readiness->pending(1));
 }
 
-TEST(LoopbackTransport, BatchReadinessDeclinesSoShardsPollEveryNode) {
-  LoopbackTransport transport(3, std::vector<double>(9, 1.0));
-  const std::vector<int> watched{1, 2};
-  const std::unique_ptr<TransportReadiness> readiness =
-      transport.make_readiness(watched);
-  transport.send(0, message(1));
-  std::vector<int> ready;
-  EXPECT_FALSE(readiness->poll_ready(&ready));
-  EXPECT_TRUE(ready.empty());
-}
-
 TEST(LinkMatrix, FromGraphIsSymmetrizedOverDagEdges) {
   const net::Topology topo = diamond();
   const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
@@ -403,8 +392,7 @@ TEST(UdpTransport, ReportsEffectiveReceiveBufferSize) {
 
 TEST(UdpTransport, EintrMidDrainRetriesInsteadOfStoppingEarly) {
   // Regression: poll() used to treat EINTR as "inbox drained" and return,
-  // stranding queued datagrams until the next tick (and, under the mux's
-  // readiness loop, until the next epoll edge).  With the deterministic
+  // stranding queued datagrams until the next tick.  With the deterministic
   // injector failing every other receive attempt, a single poll() call must
   // still hand over *everything* queued on the socket, retrying through
   // each injected interruption.
@@ -461,41 +449,6 @@ TEST(UdpTransport, SinglePollDrainsABacklogAcrossBatches) {
     for (int k = 0; k < sent; ++k) transport.send(0, message(0xab, 48));
   }
   EXPECT_EQ(delivered, static_cast<std::size_t>(sent));
-}
-
-TEST(UdpTransport, ReadinessReportsOnlyPendingSockets) {
-  UdpTransport transport(3);
-  std::vector<int> watched = {1, 2};
-  const std::unique_ptr<TransportReadiness> readiness =
-      transport.make_readiness(watched);
-  if (readiness == nullptr) {
-    GTEST_SKIP() << "no readiness backend on this platform";
-  }
-  std::vector<int> ready;
-  ASSERT_TRUE(readiness->poll_ready(&ready));
-  EXPECT_TRUE(ready.empty());  // nothing sent yet
-
-  transport.send(0, message(0x44, 24));
-  bool saw_1 = false, saw_2 = false;
-  for (int attempt = 0; attempt < 500 && !(saw_1 && saw_2); ++attempt) {
-    ready.clear();
-    ASSERT_TRUE(readiness->poll_ready(&ready));
-    for (const int node : ready) {
-      if (node == 1) saw_1 = true;
-      if (node == 2) saw_2 = true;
-      EXPECT_NE(node, 0);  // node 0 is not in the watched set
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(saw_1);
-  EXPECT_TRUE(saw_2);
-
-  // Level-triggered: after draining, the sockets go quiet again.
-  transport.poll(1, [](int, std::span<const std::uint8_t>) {});
-  transport.poll(2, [](int, std::span<const std::uint8_t>) {});
-  ready.clear();
-  ASSERT_TRUE(readiness->poll_ready(&ready));
-  EXPECT_TRUE(ready.empty());
 }
 
 TEST(UdpTransport, ManyInstancesCoexist) {

@@ -3,16 +3,22 @@
 // each session's trajectory untouched by its neighbours when the links are
 // lossless (exact equality against S independent single-session runs),
 // (c) give the same det run whether or not the transport lets the loop skip
-// idle polls, and (d) reject malformed, retired-version, or cross-session
-// frames at the demux boundary before any runtime sees them.
+// idle polls, (d) run one loop for every clock, so warp at one shard is the
+// det run and every clock stops at the horizon, and (e) reject malformed,
+// retired-version, or cross-session frames at the demux boundary before any
+// runtime sees them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/coded_packet.h"
+#include "emu/fault_transport.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
 #include "net/topology.h"
@@ -80,16 +86,24 @@ std::unique_ptr<LoopbackTransport> make_loopback(
       graph.size(), link_matrix_from_topology(topo, graph), loopback);
 }
 
-MuxRunResult run_mux(const net::Topology& topo,
-                     const routing::SessionGraph& graph, int sessions,
-                     vtime::ClockMode clock_mode) {
-  const std::unique_ptr<LoopbackTransport> transport =
+/// One run of `config` over the loopback (seed 1) on the path from node 0 to
+/// the last node, behind `fault_plan`'s injector when one is named.
+MuxRunResult run_mux(const net::Topology& topo, const MuxConfig& config,
+                     const std::string& fault_plan = "") {
+  const routing::SessionGraph graph = routing::select_nodes(
+      topo, 0, static_cast<net::NodeId>(topo.node_count() - 1));
+  const std::unique_ptr<LoopbackTransport> loopback =
       make_loopback(topo, graph, 1);
-  MuxConfig config;
-  config.emu = det_config(3);
-  config.emu.clock_mode = clock_mode;
-  config.sessions = sessions;
-  SessionMux mux(graph, *transport, config);
+  std::optional<FaultTransport> faults;
+  if (!fault_plan.empty()) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_TRUE(FaultPlan::parse(fault_plan, &plan, &error)) << error;
+    faults.emplace(*loopback, std::move(plan));
+  }
+  Transport& transport =
+      faults ? static_cast<Transport&>(*faults) : *loopback;
+  SessionMux mux(graph, transport, config);
   mux.install_rates(oracle_rates(graph));
   return mux.run();
 }
@@ -108,12 +122,11 @@ void expect_session_equal(const EmuRunResult& a, const EmuRunResult& b,
 }
 
 TEST(SessionMux, DeterministicReplayIsByteIdenticalAcrossEightSessions) {
-  const net::Topology topo = diamond();
-  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
-  const MuxRunResult first =
-      run_mux(topo, graph, 8, vtime::ClockMode::kDeterministic);
-  const MuxRunResult second =
-      run_mux(topo, graph, 8, vtime::ClockMode::kDeterministic);
+  MuxConfig config;
+  config.emu = det_config(3);
+  config.sessions = 8;
+  const MuxRunResult first = run_mux(diamond(), config);
+  const MuxRunResult second = run_mux(diamond(), config);
 
   ASSERT_TRUE(first.completed);
   ASSERT_TRUE(first.data_ok);
@@ -240,12 +253,88 @@ TEST(SessionMux, DetLoopSkipsOnlyPollsThatWouldDeliverNothing) {
   }
 }
 
+TEST(SessionMux, WarpAtOneShardIsTheDetRun) {
+  // Every clock runs the same shard loop, and one shard runs it on the
+  // calling thread: a warp barrier of one participant moves exactly like
+  // the det clock's hand, so the two runs agree field for field — with
+  // several sessions, on a chain, and behind the chaos injector's hold
+  // queues (which offer no readiness, so every node is polled every tick).
+  const struct {
+    const char* label;
+    net::Topology topo;
+    int sessions;
+    int generations;
+    const char* fault_plan;
+  } cases[] = {{"diamond x4", diamond(), 4, 4, ""},
+               {"chain", lossy_chain(4), 1, 4, ""},
+               {"diamond, chaos", diamond(), 1, 40, "chaos"}};
+  for (const auto& c : cases) {
+    MuxConfig config;
+    config.emu = det_config(c.generations);
+    config.sessions = c.sessions;
+    const MuxRunResult det = run_mux(c.topo, config, c.fault_plan);
+    config.emu.clock_mode = vtime::ClockMode::kWarp;
+    config.shards = 1;
+    const MuxRunResult warp = run_mux(c.topo, config, c.fault_plan);
+    ASSERT_TRUE(det.completed) << c.label;
+    ASSERT_EQ(warp.sessions.size(), det.sessions.size()) << c.label;
+    for (std::size_t s = 0; s < det.sessions.size(); ++s) {
+      expect_session_equal(warp.sessions[s], det.sessions[s], c.label);
+    }
+    EXPECT_EQ(warp.virtual_elapsed, det.virtual_elapsed) << c.label;
+    EXPECT_TRUE(warp.transport == det.transport) << c.label;
+    EXPECT_TRUE(warp == det) << c.label;
+  }
+}
+
+TEST(SessionMux, HorizonStopsEveryClock) {
+  // A horizon long before max_generations: every clock stops there, reports
+  // the run incomplete, and what did decode checks out.  The shards under
+  // det and warp stop together at the first tick at or past the horizon;
+  // real time only promises at or after it.
+  constexpr double kHorizon = 3.0;
+  MuxConfig config;
+  config.emu = det_config(1000);
+  config.emu.virtual_timeout_s = kHorizon;
+  // The loop's own tick recurrence: one tick is 200 us x speedup.
+  const double tick = 200 * 1e-6 * config.emu.speedup;
+  double first_tick_past = 0.0;
+  for (double next = tick; first_tick_past < kHorizon; next += tick) {
+    first_tick_past = next;
+  }
+  const struct {
+    vtime::ClockMode clock;
+    int shards;
+  } runs[] = {{vtime::ClockMode::kDeterministic, 1},
+              {vtime::ClockMode::kWarp, 2},
+              {vtime::ClockMode::kReal, 2}};
+  for (const auto& run : runs) {
+    SCOPED_TRACE(vtime::clock_mode_name(run.clock));
+    config.emu.clock_mode = run.clock;
+    config.shards = run.shards;
+    const MuxRunResult result = run_mux(diamond(), config);
+    EXPECT_FALSE(result.completed);
+    EXPECT_TRUE(result.data_ok);
+    ASSERT_EQ(result.sessions.size(), 1u);
+    EXPECT_FALSE(result.sessions[0].completed);
+    EXPECT_GT(result.sessions[0].generations_completed, 0);
+    if (run.clock == vtime::ClockMode::kReal) {
+      EXPECT_GE(result.virtual_elapsed, kHorizon);
+    } else {
+      EXPECT_EQ(result.virtual_elapsed, first_tick_past);
+    }
+  }
+}
+
 TEST(SessionMux, WarpSoakCompletesEverySession) {
-  // Threaded sharded loop under the warp clock: all sessions decode, data
-  // checks out, and nothing was rejected at the demux boundary.
-  const net::Topology topo = diamond();
-  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
-  const MuxRunResult result = run_mux(topo, graph, 12, vtime::ClockMode::kWarp);
+  // Sharded loop on two threads under the warp clock: all sessions decode,
+  // data checks out, and nothing was rejected at the demux boundary.
+  MuxConfig config;
+  config.emu = det_config(3);
+  config.emu.clock_mode = vtime::ClockMode::kWarp;
+  config.sessions = 12;
+  config.shards = 2;
+  const MuxRunResult result = run_mux(diamond(), config);
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.data_ok);
   ASSERT_EQ(result.sessions.size(), 12u);

@@ -30,10 +30,11 @@
 //                   shared transport (SessionMux, DESIGN.md §16):
 //                   session s runs wire session id 1+s with seeds
 //                   --seed + s                                         (1)
-//   --shards        worker threads under real/warp clocks, at any session
-//                   count; each owns the node indices congruent to its
-//                   shard id (the socket is the serialization domain).
-//                   0 = min(nodes, hardware threads)                  (0)
+//   --shards        shards under real/warp clocks, in [1, 1024], at any
+//                   session count; each owns the node indices congruent to
+//                   its shard id (the socket is the serialization domain).
+//                   One runs on the main thread, K > 1 on K threads; det
+//                   always runs one       (loopback: 1; udp: hardware threads)
 //   --code-family   code family every node runs (DESIGN.md §15):
 //                   dense | systematic | banded[:W].  Defaults to the
 //                   OMNC_CODE_FAMILY environment variable, then dense;
@@ -45,16 +46,16 @@
 //                   overriding --gen-blocks (codes/tuner.h)
 //   --tune-target   decode-probability target for --auto-tune       (0.99)
 //   --clock         how virtual time advances (DESIGN.md §12):
-//                   real: wall time x speedup; warp: as fast as the node
-//                   threads can step; det: single-threaded deterministic
-//                   stepping (exact seed replay)                  (real)
-//   --speedup       virtual seconds per wall second (real clock); also
-//                   sets the virtual node-step cadence everywhere   (20)
-//   --timeout       wall-clock budget in seconds (real clock)       (60)
-//   --virtual-timeout  virtual-seconds budget, all clocks
+//                   real: wall time x speedup; warp: as fast as the
+//                   shards can step (at one shard, the det run); det:
+//                   deterministic stepping (exact seed replay)    (real)
+//   --speedup       virtual seconds per wall second (real clock), > 0;
+//                   also sets the virtual node-step cadence everywhere (20)
+//   --timeout       wall-clock budget in seconds (real clock), > 0  (60)
+//   --virtual-timeout  virtual-seconds budget, all clocks, >= 0
 //                      (0 = timeout x speedup)                      (0)
 //   --probe-window  virtual seconds of link probing before the data
-//                   phase; estimates are reported and traced        (0 = off)
+//                   phase, >= 0; estimates are reported and traced (0 = off)
 //   --oracle-rates  install rate-control rates directly on every node
 //                   instead of flooding them in-band as PriceUpdate frames
 //   --cross-check   run the slot simulator on the same topology and require
@@ -93,6 +94,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -137,18 +139,31 @@ long int_flag(const Options& options, const char* name, long fallback,
   return value;
 }
 
-/// A finite real flag in (0, hi]; `range` says so in the rejection.
-double positive_flag(const Options& options, const char* name,
-                     double fallback, const char* range,
-                     double hi = std::numeric_limits<double>::max()) {
+/// A finite real flag that `in_range` accepts; `range` says what that is
+/// in the rejection.
+double real_flag(const Options& options, const char* name, double fallback,
+                 const char* range, bool (*in_range)(double)) {
   if (!options.has(name)) return fallback;
   const std::string text = options.get(name, "");
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || *end != '\0' || !(value > 0.0 && value <= hi)) {
+  if (text.empty() || *end != '\0' || !std::isfinite(value) ||
+      !in_range(value)) {
     reject(name, range, text);
   }
   return value;
+}
+
+double positive_flag(const Options& options, const char* name,
+                     double fallback) {
+  return real_flag(options, name, fallback, "> 0",
+                   [](double value) { return value > 0.0; });
+}
+
+double nonnegative_flag(const Options& options, const char* name,
+                        double fallback) {
+  return real_flag(options, name, fallback, ">= 0",
+                   [](double value) { return value >= 0.0; });
 }
 
 net::Topology make_topology(const std::string& name, const Options& options) {
@@ -167,7 +182,8 @@ net::Topology make_topology(const std::string& name, const Options& options) {
     const int n = static_cast<int>(
         int_flag(options, "hops", 3, 1, 1024, "in [1, 1024]")) + 1;
     const double link_p =
-        positive_flag(options, "link-p", 0.8, "in (0, 1]", 1.0);
+        real_flag(options, "link-p", 0.8, "in (0, 1]",
+                  [](double value) { return value > 0.0 && value <= 1.0; });
     std::vector<std::vector<double>> p(static_cast<std::size_t>(n),
                                        std::vector<double>(n, 0.0));
     for (int i = 0; i + 1 < n; ++i) {
@@ -199,7 +215,7 @@ int main(int argc, char** argv) {
   config.node.session_id = 1;
   config.node.data_seed = seed;
   config.node.rng_seed = seed;
-  config.node.cbr_bytes_per_s = positive_flag(options, "cbr", 1e4, "> 0");
+  config.node.cbr_bytes_per_s = positive_flag(options, "cbr", 1e4);
   config.node.max_generations = static_cast<int>(
       int_flag(options, "generations", 8, 1, std::numeric_limits<int>::max(),
                ">= 1"));
@@ -220,23 +236,31 @@ int main(int argc, char** argv) {
         static_cast<std::uint16_t>(options.get_int("band-width", 0));
   }
   config.node.code = code_spec;
-  config.node.probe_window_s = options.get_double("probe-window", 0.0);
-  config.node.data_start_s = config.node.probe_window_s + 0.5;
+  config.node.probe_window_s = nonnegative_flag(options, "probe-window", 0.0);
   const std::string clock_name = options.get("clock", "real");
   if (!vtime::parse_clock_mode(clock_name, &config.clock_mode)) {
     std::fprintf(stderr, "unknown --clock %s (real|warp|det)\n",
                  clock_name.c_str());
     return 2;
   }
-  config.speedup = options.get_double("speedup", 20.0);
-  config.wall_timeout_s = options.get_double("timeout", 60.0);
-  config.virtual_timeout_s = options.get_double("virtual-timeout", 0.0);
-  const double capacity = positive_flag(options, "capacity", 2e4, "> 0");
+  config.speedup = positive_flag(options, "speedup", 20.0);
+  config.wall_timeout_s = positive_flag(options, "timeout", 60.0);
+  config.virtual_timeout_s =
+      nonnegative_flag(options, "virtual-timeout", 0.0);
+  const double capacity = positive_flag(options, "capacity", 2e4);
   const int sessions = static_cast<int>(int_flag(
       options, "sessions", 1, 1, std::numeric_limits<int>::max(), ">= 1"));
-  const int shards = static_cast<int>(options.get_int("shards", 0));
   mux_config.sessions = sessions;
-  mux_config.shards = shards;
+  // UDP pays a syscall per frame sent and per socket drained, and one thread
+  // cannot keep a larger UDP topology on its real-time ticks (a 7-node
+  // chain with 8 sessions loses 40-50% of its goodput at one shard), so
+  // UDP runs default to a shard per hardware thread; loopback runs to one.
+  const long default_shards =
+      transport_name == "udp"
+          ? std::clamp<long>(std::thread::hardware_concurrency(), 1, 1024)
+          : 1;
+  mux_config.shards = static_cast<int>(int_flag(
+      options, "shards", default_shards, 1, 1024, "in [1, 1024]"));
 
   const net::Topology topo = make_topology(topology_name, options);
   const net::NodeId destination = static_cast<net::NodeId>(topo.node_count() - 1);
@@ -338,12 +362,14 @@ int main(int argc, char** argv) {
   if (auto_tune) family_suffix += ";auto_tune=1";
   // Multi-session runs append their dimensions so their records never
   // collide with the single-session baselines (which stay byte-identical).
-  // Shards only appear when pinned explicitly — the auto value depends on
-  // the host's core count and would make record keys machine-dependent.
+  // Shards appear only when passed, so the committed baselines, taken at
+  // the default, keep matching.
   std::string mux_suffix;
   if (sessions > 1) {
     mux_suffix = ";sessions=" + std::to_string(sessions);
-    if (shards > 0) mux_suffix += ";shards=" + std::to_string(shards);
+    if (options.has("shards")) {
+      mux_suffix += ";shards=" + std::to_string(mux_config.shards);
+    }
   }
   char params[448];
   std::snprintf(params, sizeof(params),
