@@ -1,7 +1,6 @@
 #include "net/mac.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/assert.h"
 
@@ -33,22 +32,39 @@ SlottedMac::SlottedMac(sim::Simulator& simulator, const Topology& topology,
   // slot at the receiver, not forbidden in the schedule (unless
   // protect_receivers idealizes them away).
   const std::size_t n = participants_.size();
-  conflict_.assign(n * n, 0);
-  auto hears = [&](NodeId a, NodeId b) { return topology_.interferes(a, b); };
+  auto hears = [&](std::size_t a, std::size_t b) {
+    return topology_.interferes(participants_[a], participants_[b]);
+  };
+  conflict_partners_.resize(n);
+  cover_.resize(n);
+  receivers_.resize(n);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
-      bool clash = hears(participants_[a], participants_[b]);
+      bool clash = hears(a, b);
       if (config_.protect_receivers) {
         for (std::size_t v = 0; !clash && v < n; ++v) {
           if (v == a || v == b) continue;
-          clash = hears(participants_[a], participants_[v]) &&
-                  hears(participants_[b], participants_[v]);
+          clash = hears(a, v) && hears(b, v);
         }
       }
-      conflict_[a * n + b] = clash ? 1 : 0;
-      conflict_[b * n + a] = clash ? 1 : 0;
+      if (clash) {
+        conflict_partners_[a].push_back(b);
+        conflict_partners_[b].push_back(a);
+      }
+    }
+    for (NodeId nbr : topology_.interference_neighbors(participants_[a])) {
+      const int index = node_to_index_[static_cast<std::size_t>(nbr)];
+      if (index >= 0) cover_[a].push_back(static_cast<std::size_t>(index));
+    }
+    for (NodeId nbr : topology_.neighbors(participants_[a])) {
+      const int index = node_to_index_[static_cast<std::size_t>(nbr)];
+      if (index >= 0) receivers_[a].push_back(static_cast<std::size_t>(index));
     }
   }
+  air_.assign(n, Air::kIdle);
+  covered_.assign(n, 0);
+  backlogged_.reserve(n);
+  admitted_.reserve(n);
 
   // Per-link Gilbert-Elliott fading, mean-preserving: the long-run average
   // reception probability of every link equals the topology's p_ij.
@@ -144,6 +160,18 @@ void SlottedMac::start() {
 
 void SlottedMac::stop() { running_ = false; }
 
+void SlottedMac::cover(std::size_t tx) {
+  for (std::size_t rx : cover_[tx]) {
+    if (covered_[rx] < 2) ++covered_[rx];
+  }
+}
+
+void SlottedMac::admit(std::size_t candidate) {
+  admitted_.push_back(candidate);
+  air_[candidate] = Air::kAdmitted;
+  cover(candidate);
+}
+
 void SlottedMac::run_slot() {
   if (!running_) return;
   const sim::Time now = simulator_.now();
@@ -153,39 +181,36 @@ void SlottedMac::run_slot() {
   const std::size_t n = participants_.size();
   // Nodes finishing a multi-slot unicast attempt keep the channel busy: they
   // count as transmitting (interference + cannot receive) but send nothing
-  // new and are not re-admitted.
-  std::vector<std::uint8_t> transmitting(n, 0);
-  std::vector<std::size_t> phantoms;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (states_[i].cooldown > 0) {
-      --states_[i].cooldown;
-      transmitting[i] = 1;
-      phantoms.push_back(i);
+  // new and are not re-admitted.  Hidden-terminal collisions: a participant
+  // covered by two or more concurrent transmitters (mid-attempt ones
+  // included) receives nothing this slot.
+  std::fill(covered_.begin(), covered_.end(), 0);
+  backlogged_.clear();
+  admitted_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    NodeState& state = states_[i];
+    if (state.cooldown > 0) {
+      --state.cooldown;
+      air_[i] = Air::kMidAttempt;
+      cover(i);
+    } else if (!state.queue.empty()) {
+      air_[i] = Air::kBacklogged;
+      backlogged_.push_back(i);
+    } else {
+      air_[i] = Air::kIdle;
     }
   }
 
-  std::vector<std::size_t> backlogged;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    if (transmitting[i] == 0 && !states_[i].queue.empty()) {
-      backlogged.push_back(i);
-    }
-  }
-
-  std::vector<std::size_t> admitted;
   if (config_.mode == MacMode::kIdealScheduling) {
     // Greedy maximal conflict-free schedule in uniformly random priority
     // order: an idealized randomized TDMA.  (Queue-length priority would let
     // a saturated source starve its own downstream relays forever.)
-    rng_.shuffle(backlogged);
-    for (std::size_t candidate : backlogged) {
-      bool blocked = false;
-      for (std::size_t other = 0; !blocked && other < n; ++other) {
-        blocked = transmitting[other] != 0 &&
-                  conflict_[candidate * n + other] != 0;
-      }
-      if (!blocked) {
-        admitted.push_back(candidate);
-        transmitting[candidate] = 1;
+    rng_.shuffle(backlogged_);
+    for (std::size_t candidate : backlogged_) {
+      const auto& partners = conflict_partners_[candidate];
+      if (std::none_of(partners.begin(), partners.end(),
+                       [&](std::size_t other) { return transmitting(other); })) {
+        admit(candidate);
       }
     }
   } else {
@@ -193,21 +218,14 @@ void SlottedMac::run_slot() {
     // in-range competitors).  Attempts are independent; nothing prevents two
     // in-range nodes from firing together — that is what collisions are.
     // Carrier sensing defers to in-range nodes already mid-attempt.
-    std::vector<std::uint8_t> is_backlogged(n, 0);
-    for (std::size_t i : backlogged) is_backlogged[i] = 1;
-    for (std::size_t candidate : backlogged) {
+    for (std::size_t candidate : backlogged_) {
       std::size_t contenders = 1;
-      for (std::size_t other = 0; other < n; ++other) {
-        if (other != candidate && is_backlogged[other] &&
-            conflict_[candidate * n + other] != 0) {
-          ++contenders;
-        }
-      }
       bool channel_busy = false;
-      for (std::size_t phantom : phantoms) {
-        if (conflict_[candidate * n + phantom] != 0) {
+      for (std::size_t other : conflict_partners_[candidate]) {
+        if (air_[other] == Air::kBacklogged || air_[other] == Air::kAdmitted) {
+          ++contenders;
+        } else if (air_[other] == Air::kMidAttempt) {
           channel_busy = true;
-          break;
         }
       }
       if (channel_busy) {
@@ -224,31 +242,12 @@ void SlottedMac::run_slot() {
         observer_->on_contention(now, participants_[candidate],
                                  static_cast<int>(contenders), fired);
       }
-      if (fired) {
-        admitted.push_back(candidate);
-        transmitting[candidate] = 1;
-      }
+      if (fired) admit(candidate);
     }
   }
 
-  // Hidden-terminal collisions: a participant covered by two or more
-  // concurrent transmitters (including tail slots of multi-slot unicast
-  // attempts) receives nothing this slot.
-  std::vector<std::uint8_t> covered(n, 0);
-  auto cover_neighborhood = [&](std::size_t tx_index) {
-    const NodeId tx = participants_[tx_index];
-    for (NodeId nbr : topology_.interference_neighbors(tx)) {
-      const int rx_index = node_to_index_[static_cast<std::size_t>(nbr)];
-      if (rx_index >= 0 && covered[static_cast<std::size_t>(rx_index)] < 2) {
-        ++covered[static_cast<std::size_t>(rx_index)];
-      }
-    }
-  };
-  for (std::size_t tx_index : admitted) cover_neighborhood(tx_index);
-  for (std::size_t phantom : phantoms) cover_neighborhood(phantom);
-
   // Transmit.
-  for (std::size_t tx_index : admitted) {
+  for (std::size_t tx_index : admitted_) {
     NodeState& state = states_[tx_index];
     Frame& frame = state.queue.front();
     ++state.transmissions;
@@ -257,28 +256,26 @@ void SlottedMac::run_slot() {
       state.cooldown = config_.unicast_slot_cost - 1;
     }
     bool consumed = true;
-    auto receives = [&](NodeId rx) {
-      const int rx_index = node_to_index_[static_cast<std::size_t>(rx)];
-      if (rx_index < 0) return false;  // not in this session
-      if (transmitting[static_cast<std::size_t>(rx_index)]) return false;
-      if (covered[static_cast<std::size_t>(rx_index)] >= 2) {
-        if (observer_ != nullptr) observer_->on_collision(now, rx);
+    auto receives = [&](std::size_t rx_index) {
+      if (transmitting(rx_index)) return false;
+      if (covered_[rx_index] >= 2) {
+        if (observer_ != nullptr) {
+          observer_->on_collision(now, participants_[rx_index]);
+        }
         return false;
       }
-      return rng_.chance(
-          effective_p_[tx_index * n + static_cast<std::size_t>(rx_index)]);
+      return rng_.chance(effective_p_[tx_index * n + rx_index]);
     };
     if (frame.to == kBroadcast) {
-      for (NodeId nbr : topology_.neighbors(frame.from)) {
-        if (!receives(nbr)) continue;
+      for (std::size_t rx_index : receivers_[tx_index]) {
+        if (!receives(rx_index)) continue;
         ++deliveries_;
-        if (receive_handler_) receive_handler_(nbr, frame);
+        if (receive_handler_) receive_handler_(participants_[rx_index], frame);
       }
     } else {
-      OMNC_ASSERT_MSG(
-          node_to_index_[static_cast<std::size_t>(frame.to)] >= 0,
-          "unicast target not a participant");
-      if (receives(frame.to)) {
+      const int rx_index = node_to_index_[static_cast<std::size_t>(frame.to)];
+      OMNC_ASSERT_MSG(rx_index >= 0, "unicast target not a participant");
+      if (receives(static_cast<std::size_t>(rx_index))) {
         ++deliveries_;
         if (receive_handler_) receive_handler_(frame.to, frame);
       } else if (frame.reliable) {
@@ -298,7 +295,7 @@ void SlottedMac::run_slot() {
   }
 
   // Sample queue sizes for the Fig. 3 metric.
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     NodeState& state = states_[i];
     state.queue_average.advance_to(now, static_cast<double>(state.queue.size()));
     if (observer_ != nullptr) {
@@ -326,12 +323,6 @@ std::size_t SlottedMac::total_deliveries() const { return deliveries_; }
 double SlottedMac::queue_time_average(NodeId node) const {
   return states_[static_cast<std::size_t>(index_of(node))]
       .queue_average.average();
-}
-
-bool SlottedMac::conflicts(NodeId a, NodeId b) const {
-  const std::size_t n = participants_.size();
-  return conflict_[static_cast<std::size_t>(index_of(a)) * n +
-                   static_cast<std::size_t>(index_of(b))] != 0;
 }
 
 }  // namespace omnc::net

@@ -215,9 +215,6 @@ class SlottedMac {
   /// metric.
   double queue_time_average(NodeId node) const;
 
-  /// True if the pair may not be scheduled in the same slot.
-  bool conflicts(NodeId a, NodeId b) const;
-
  private:
   struct NodeState {
     std::deque<Frame> queue;  // FIFO
@@ -239,9 +236,23 @@ class SlottedMac {
     bool bad;
   };
 
+  /// A participant's part in the current slot.
+  enum class Air : std::uint8_t {
+    kIdle,        // nothing queued
+    kBacklogged,  // queued, not (yet) admitted
+    kAdmitted,    // sends its head frame this slot
+    kMidAttempt,  // still busy with a multi-slot unicast attempt
+  };
+
   void run_slot();
   void advance_fading();
   int index_of(NodeId node) const;
+  bool transmitting(std::size_t index) const {
+    return air_[index] == Air::kAdmitted || air_[index] == Air::kMidAttempt;
+  }
+  /// Marks `tx`'s interference range as covered by one more transmitter.
+  void cover(std::size_t tx);
+  void admit(std::size_t candidate);
 
   sim::Simulator& simulator_;
   const Topology& topology_;
@@ -251,13 +262,28 @@ class SlottedMac {
   Rng rng_;
 
   std::vector<NodeState> states_;
-  std::vector<std::uint8_t> conflict_;  // participants x participants
+  // Per-participant lists in participant indices, built once so a slot
+  // never walks the topology or maps a node id.
+  /// Participants that may not transmit in the same slot (CSMA contenders,
+  /// ideal-scheduling blocking).
+  std::vector<std::vector<std::size_t>> conflict_partners_;
+  /// Participants inside the interference range (collision cover).
+  std::vector<std::vector<std::size_t>> cover_;
+  /// Participant out-neighbours in topology.neighbors() order (broadcast
+  /// receptions, one coin each in this order).
+  std::vector<std::vector<std::size_t>> receivers_;
   std::vector<LinkFade> fades_;
   /// Effective per-slot reception probability, participants x participants.
   std::vector<double> effective_p_;
   ReceiveHandler receive_handler_;
   std::vector<SlotHook> slot_hooks_;
   MacObserver* observer_ = nullptr;
+
+  // Per-slot scratch, reused so a slot allocates nothing.
+  std::vector<Air> air_;                  // per participant
+  std::vector<std::uint8_t> covered_;     // transmitters in range, capped at 2
+  std::vector<std::size_t> backlogged_;  // in index order, then shuffled
+  std::vector<std::size_t> admitted_;    // in admission order
 
   bool running_ = false;
   std::size_t deliveries_ = 0;

@@ -122,23 +122,6 @@ void Topology::finalize_from_probs() {
       }
     }
   }
-  // Conflict relation: transmitters conflict when audible to each other or
-  // when some third node hears both (a potential common receiver).
-  conflict_.assign(static_cast<std::size_t>(n) * n, 0);
-  auto hears = [&](int a, int b) {
-    return audible_[static_cast<std::size_t>(a) * n + b] != 0;
-  };
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      bool clash = hears(a, b);
-      for (int v = 0; !clash && v < n; ++v) {
-        if (v == a || v == b) continue;
-        clash = hears(a, v) && hears(b, v);
-      }
-      conflict_[static_cast<std::size_t>(a) * n + b] = clash ? 1 : 0;
-      conflict_[static_cast<std::size_t>(b) * n + a] = clash ? 1 : 0;
-    }
-  }
 }
 
 const Position& Topology::position(NodeId id) const {
@@ -176,10 +159,12 @@ const std::vector<NodeId>& Topology::interference_neighbors(NodeId id) const {
 }
 
 bool Topology::conflicts(NodeId a, NodeId b) const {
-  OMNC_DCHECK(a >= 0 && a < node_count());
-  OMNC_DCHECK(b >= 0 && b < node_count());
-  if (a == b) return true;
-  return conflict_[static_cast<std::size_t>(a) * node_count() + b] != 0;
+  // Audible to each other, or some third node hears both (a potential
+  // common receiver).
+  if (interferes(a, b)) return true;
+  const auto& a_hears = interference_neighbors(a);
+  return std::any_of(a_hears.begin(), a_hears.end(),
+                     [&](NodeId v) { return interferes(b, v); });
 }
 
 double Topology::mean_link_probability() const {

@@ -1,5 +1,5 @@
 // Network topology: node positions, lossy directed links, neighbor sets and
-// the transmitter conflict relation used by the ideal MAC.
+// the audibility (interference) relation.
 //
 // A link (i, j) exists when j lies within the transmission range of i (the
 // distance where reception probability crosses the 0.2 threshold, per the
@@ -85,6 +85,7 @@ class Topology {
 
   /// True if transmitters a and b may not transmit in the same slot: they
   /// are within range of one another or share a potential common receiver.
+  /// Answered on demand from the audibility relation.
   bool conflicts(NodeId a, NodeId b) const;
 
   /// Mean reception probability over all existing links.
@@ -106,8 +107,6 @@ class Topology {
   // Audibility (interference) relation and neighborhoods.
   std::vector<std::uint8_t> audible_;
   std::vector<std::vector<NodeId>> interference_neighbors_;
-  // Conflict relation as a bit matrix.
-  std::vector<std::uint8_t> conflict_;
 };
 
 }  // namespace omnc::net

@@ -32,6 +32,32 @@ std::uint32_t frame_generation_id(const std::vector<std::uint8_t>& wire) {
 
 }  // namespace
 
+SessionEngine::FramePool::~FramePool() {
+  OMNC_ASSERT_MSG(in_flight_ == 0, "a frame outlived its buffer pool");
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>>
+SessionEngine::FramePool::serialize(const coding::CodedPacket& packet) {
+  std::unique_ptr<std::vector<std::uint8_t>> buffer;
+  if (free_buffers_.empty()) {
+    buffer = std::make_unique<std::vector<std::uint8_t>>();
+  } else {
+    buffer = std::move(free_buffers_.back());
+    free_buffers_.pop_back();
+  }
+  buffer->resize(packet.wire_size());
+  packet.serialize_to(*buffer);  // writes every byte
+  ++in_flight_;
+  return {buffer.release(), Release{this},
+          std::pmr::polymorphic_allocator<std::byte>(&control_blocks_)};
+}
+
+void SessionEngine::FramePool::Release::operator()(
+    std::vector<std::uint8_t>* buffer) const {
+  pool->free_buffers_.emplace_back(buffer);
+  --pool->in_flight_;
+}
+
 void SessionEngine::MacTap::on_transmit(sim::Time now, net::NodeId node) {
   MetricEvent event;
   event.type = MetricEvent::Type::kTx;
@@ -223,12 +249,9 @@ void SessionEngine::on_slot(sim::Time now) {
       for (int k = 0; k < wanted; ++k) {
         net::Frame frame;
         node.next_packet_into(rng_, &tx_packet_, &frame.structure);
-        auto bytes =
-            std::make_shared<std::vector<std::uint8_t>>(tx_packet_.wire_size());
-        tx_packet_.serialize_to(*bytes);
         frame.from = graph.node_id(local);
         frame.to = net::kBroadcast;
-        frame.bytes = std::move(bytes);
+        frame.bytes = frame_pool_.serialize(tx_packet_);
         if (!mac_->enqueue(std::move(frame))) {
           break;  // queue full (MacTap counted the drop); stop for this slot
         }

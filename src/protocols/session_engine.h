@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "coding/coded_packet.h"
@@ -94,6 +95,33 @@ class SessionEngine {
     double ack_delay_s = 0.0;
   };
 
+  /// Recycles the buffers the engine serializes frames into.  A buffer goes
+  /// back on the free list, and its shared_ptr control block back to
+  /// `control_blocks_`, when the MAC pops or purges the frame holding them,
+  /// so a steady-state slot allocates nothing.  The MAC and every queued
+  /// frame must die before the pool.
+  class FramePool {
+   public:
+    FramePool() = default;
+    FramePool(const FramePool&) = delete;
+    FramePool& operator=(const FramePool&) = delete;
+    ~FramePool();
+
+    /// A pooled buffer holding `packet`'s wire form.
+    std::shared_ptr<const std::vector<std::uint8_t>> serialize(
+        const coding::CodedPacket& packet);
+
+   private:
+    struct Release {  // the frame's deleter
+      FramePool* pool;
+      void operator()(std::vector<std::uint8_t>* buffer) const;
+    };
+
+    std::vector<std::unique_ptr<std::vector<std::uint8_t>>> free_buffers_;
+    std::pmr::unsynchronized_pool_resource control_blocks_;
+    std::size_t in_flight_ = 0;
+  };
+
   /// Forwards MAC activity onto the bus.
   class MacTap final : public net::MacObserver {
    public:
@@ -126,6 +154,7 @@ class SessionEngine {
   Rng rng_;
 
   sim::Simulator simulator_;
+  FramePool frame_pool_;  // outlives mac_ and its queued frames
   std::unique_ptr<net::SlottedMac> mac_;
   std::vector<Session> sessions_;
   MetricsBus bus_;

@@ -5,8 +5,10 @@
 // thread-wakeup ledger, and any future event-driven runtime — so "what fires
 // next" is decided by exactly one piece of code.  Events scheduled for the
 // same instant fire in scheduling order (stable), which keeps runs
-// deterministic.  Cancellation is lazy: cancelled events stay in the heap
-// but are skipped when popped.
+// deterministic.  Each handler lives in its heap entry, so scheduling and
+// firing allocate nothing beyond the handler's own captures.  Cancellation
+// is lazy: a cancelled entry keeps its place with an empty handler and is
+// skipped when popped.
 //
 // The queue is not thread-safe; callers that share one across threads (the
 // WarpClock) serialize externally.
@@ -14,9 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace omnc::vtime {
@@ -28,12 +27,12 @@ class EventQueue {
  public:
   Time now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `at` (>= now), returning a handle that
-  /// can be cancelled.
+  /// Schedules `fn` (non-empty) at absolute time `at` (>= now), returning a
+  /// handle that can be cancelled.
   EventId schedule_at(Time at, std::function<void()> fn);
 
   /// Cancels a pending event; cancelling an already-fired or unknown event
-  /// is a no-op.
+  /// is a no-op.  Scans the heap: only tests cancel.
   void cancel(EventId id);
 
   /// Earliest pending live event time, pruning cancelled heap tops along the
@@ -50,27 +49,25 @@ class EventQueue {
   void advance_to(Time t);
 
   std::size_t processed() const { return processed_; }
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return heap_.size() - cancelled_; }
 
  private:
   struct Event {
     Time at;
-    std::uint64_t seq;
-    EventId id;
+    EventId id;  // increases with scheduling order: the tie-break
+    std::function<void()> fn;  // empty once cancelled
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  /// Heap order: the root is the earliest (at, id).
+  static bool later(const Event& a, const Event& b) {
+    if (a.at != b.at) return a.at > b.at;
+    return a.id > b.id;
+  }
+  Event pop();
 
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_map<EventId, std::function<void()>> handlers_;
+  std::vector<Event> heap_;
+  std::size_t cancelled_ = 0;  // cancelled entries still in heap_
   std::size_t processed_ = 0;
 };
 

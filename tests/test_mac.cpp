@@ -357,5 +357,148 @@ TEST(SlottedMac, CsmaModeStillDelivers) {
   EXPECT_GT(received, 500);  // single contender attempts every slot
 }
 
+// --- exact replay ---------------------------------------------------------
+//
+// The rate tests above tolerate any draw order.  This one pins a fixed
+// scenario bit for bit, so a reordered or extra RNG draw anywhere in the slot
+// loop (scheduling shuffle, CSMA coins, reception coins, fading) shows up
+// here and not only as a moved fig-bench figure.
+
+/// Six nodes: 0 and 3 are mutually inaudible but both cover 1 and 2 (a hidden
+/// terminal), 2 bridges to 4, 4 to 5, and 5 -> 3 is a one-way link (audible
+/// both ways, received only at 3).
+Topology hidden_terminal_topology() {
+  std::vector<std::vector<double>> m(6, std::vector<double>(6, 0.0));
+  auto link = [&](int a, int b, double ab, double ba) {
+    m[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = ab;
+    m[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = ba;
+  };
+  link(0, 1, 0.8, 0.7);
+  link(0, 2, 0.6, 0.5);
+  link(1, 2, 0.4, 0.45);
+  link(1, 3, 0.7, 0.9);
+  link(2, 3, 0.9, 0.85);
+  link(2, 4, 0.3, 0.35);
+  link(3, 4, 0.6, 0.5);
+  link(4, 5, 0.95, 0.9);
+  link(5, 3, 0.25, 0.0);
+  return Topology::from_link_matrix(m);
+}
+
+struct Replay {
+  std::vector<std::size_t> transmissions;  // per node id
+  std::size_t deliveries = 0;
+  std::size_t collisions = 0;  // observer-seen
+  std::size_t drops = 0;
+  std::size_t retry_failures = 0;
+  std::vector<double> queue_average;  // per node id
+};
+
+class CollisionCounter final : public MacObserver {
+ public:
+  void on_collision(sim::Time, NodeId) override { ++collisions; }
+  std::size_t collisions = 0;
+};
+
+/// 3000 slots of fixed offered load: node i enqueues kBurst[i] frames every
+/// kPeriod[i] slots into a 6-frame queue (so some nodes overflow).  Node 5
+/// always sends reliable unicast to 4, which keeps multi-slot attempts in
+/// every mode; with `all_unicast` every node sends reliable unicast to its
+/// next hop.
+Replay run_replay(const MacConfig& config, bool all_unicast) {
+  static constexpr int kPeriod[6] = {3, 5, 7, 4, 6, 4};
+  static constexpr int kBurst[6] = {1, 1, 2, 1, 2, 1};
+  static constexpr NodeId kNextHop[6] = {1, 3, 4, 4, 5, 4};
+  sim::Simulator sim;
+  const Topology topo = hidden_terminal_topology();
+  // A participant order unlike the node ids exercises the index mapping.
+  SlottedMac mac(sim, topo, {3, 0, 5, 1, 4, 2}, config, Rng(2024));
+  CollisionCounter counter;
+  mac.set_observer(&counter);
+  const auto bytes = payload();
+  int slot = 0;
+  mac.add_slot_hook([&](sim::Time) {
+    for (NodeId n = 0; n < 6; ++n) {
+      if (slot % kPeriod[n] != 0) continue;
+      for (int k = 0; k < kBurst[n]; ++k) {
+        Frame frame;
+        frame.from = n;
+        if (all_unicast || n == 5) {
+          frame.to = kNextHop[n];
+          frame.reliable = true;
+        }
+        frame.bytes = bytes;
+        mac.enqueue(std::move(frame));
+      }
+    }
+    ++slot;
+  });
+  mac.start();
+  sim.run_until(300.0);
+  mac.stop();
+  Replay replay;
+  for (NodeId n = 0; n < 6; ++n) {
+    replay.transmissions.push_back(mac.transmissions(n));
+    replay.queue_average.push_back(mac.queue_time_average(n));
+  }
+  replay.deliveries = mac.total_deliveries();
+  replay.collisions = counter.collisions;
+  replay.drops = mac.total_drops();
+  replay.retry_failures = mac.total_retry_failures();
+  return replay;
+}
+
+TEST(SlottedMac, ReplayIsExactInEveryMode) {
+  MacConfig base;  // CSMA, fading, 2-slot unicast, 7 retries
+  base.capacity_bytes_per_s = 1000.0;
+  base.slot_bytes = 100;
+  base.max_queue = 6;
+  MacConfig ideal = base;
+  ideal.mode = MacMode::kIdealScheduling;
+  ideal.fading.enabled = false;
+  MacConfig protect = base;
+  protect.mode = MacMode::kIdealScheduling;
+  protect.protect_receivers = true;
+
+  struct Pin {
+    const char* name;
+    MacConfig config;
+    bool all_unicast;
+    std::vector<std::size_t> transmissions;
+    std::size_t deliveries, collisions, drops, retry_failures;
+    std::vector<double> queue_average;
+  };
+  // Captured before the slot loop moved to precomputed participant lists;
+  // any change here means the simulator draws differently.
+  const Pin pins[] = {
+      {"csma+fading", base, false,
+       {990, 600, 657, 485, 556, 728}, 2792, 3801, 1320, 7,
+       {0x1.a99d26ab3c672p+0, 0x1.0a6a04f373aap+0, 0x1.16db09d10d0eep+2,
+        0x1.4b5fdc7d4f9e3p+2, 0x1.4cc86df22bdaep+2, 0x1.6a30a7fdf37dp+2}},
+      {"ideal", ideal, false,
+       {1000, 600, 858, 547, 634, 909}, 4323, 5074, 923, 8,
+       {0x1.902d122e9b852p-3, 0x1.a813cdcea92f7p-3, 0x1.c183e24b49fcep-1,
+        0x1.34f78c9742d26p+2, 0x1.3de325d0b5a0fp+2, 0x1.60eda5afee362p+2}},
+      {"ideal+protect_receivers", protect, false,
+       {1000, 395, 384, 386, 404, 714}, 5056, 0, 1705, 0,
+       {0x1.96d5933fc3f13p-1, 0x1.42b5d2134aacfp+2, 0x1.56f0e41631a41p+2,
+        0x1.5a4a9b300efcfp+2, 0x1.5daf3f6c7ea1ap+2, 0x1.1b719dd57d63p+2}},
+      {"reliable unicast", base, true,
+       {640, 436, 309, 310, 443, 661}, 929, 916, 3892, 104,
+       {0x1.7347f5c1af86ap+2, 0x1.776bcfdb1f98dp+2, 0x1.79f5ed64210b9p+2,
+        0x1.77d39ca38d8a2p+2, 0x1.6f5abd551aff6p+2, 0x1.6c635c726273ap+2}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const Replay got = run_replay(pin.config, pin.all_unicast);
+    EXPECT_EQ(got.transmissions, pin.transmissions);
+    EXPECT_EQ(got.deliveries, pin.deliveries);
+    EXPECT_EQ(got.collisions, pin.collisions);
+    EXPECT_EQ(got.drops, pin.drops);
+    EXPECT_EQ(got.retry_failures, pin.retry_failures);
+    EXPECT_EQ(got.queue_average, pin.queue_average);
+  }
+}
+
 }  // namespace
 }  // namespace omnc::net

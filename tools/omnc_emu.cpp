@@ -39,12 +39,14 @@
 //                   dense | systematic | banded[:W].  Defaults to the
 //                   OMNC_CODE_FAMILY environment variable, then dense;
 //                   non-dense emissions ride compact coefficient frames
-//   --band-width    banded window width override (0 = auto, n/4)
+//   --band-width    banded window width override in [0, 65535]
+//                   (0 = auto, n/4)
 //   --auto-tune     finite-length tuner: picks the generation size
 //                   (powers of two within [8, --gen-blocks]) and the source
 //                   redundancy from the session graph's mean link loss,
 //                   overriding --gen-blocks (codes/tuner.h)
-//   --tune-target   decode-probability target for --auto-tune       (0.99)
+//   --tune-target   decode-probability target for --auto-tune, in
+//                   (0, 1)                                          (0.99)
 //   --clock         how virtual time advances (DESIGN.md §12):
 //                   real: wall time x speedup; warp: as fast as the
 //                   shards can step (at one shard, the det run); det:
@@ -78,9 +80,9 @@
 //                   latency histograms, anomalies, flight recorder) to PATH
 //                   via atomic tmp+rename, once per snapshot interval and
 //                   once at run end
-//   --health-interval  snapshot cadence in virtual seconds (also the anomaly
-//                   evaluation cadence); prints a one-line health summary to
-//                   stderr at every snapshot                        (1)
+//   --health-interval  snapshot cadence in virtual seconds, > 0 (also the
+//                   anomaly evaluation cadence); prints a one-line health
+//                   summary to stderr at every snapshot             (1)
 //
 // Exit status: 0 when every session's destination decoded every generation
 // with the correct bytes (and the cross-check, if requested, passed); 2 when
@@ -232,8 +234,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--band-width requires --code-family banded\n");
       return 2;
     }
-    code_spec.band_width =
-        static_cast<std::uint16_t>(options.get_int("band-width", 0));
+    code_spec.band_width = static_cast<std::uint16_t>(
+        int_flag(options, "band-width", 0, 0, 65535, "in [0, 65535]"));
   }
   config.node.code = code_spec;
   config.node.probe_window_s = nonnegative_flag(options, "probe-window", 0.0);
@@ -281,8 +283,11 @@ int main(int argc, char** argv) {
     for (const auto& edge : graph.edges) loss_sum += 1.0 - edge.p;
     const double loss =
         graph.edges.empty() ? 0.0 : loss_sum / static_cast<double>(graph.edges.size());
+    const double target =
+        real_flag(options, "tune-target", 0.99, "in (0, 1)",
+                  [](double value) { return value > 0.0 && value < 1.0; });
     tuned = codes::tune_generation(
-        loss, options.get_double("tune-target", 0.99), 8,
+        loss, target, 8,
         config.node.coding.generation_blocks,
         config.node.coding.block_bytes);
     config.node.coding.generation_blocks =
@@ -394,8 +399,8 @@ int main(int argc, char** argv) {
   const bool want_health =
       !health_path.empty() || health_stderr || obs.recorder != nullptr;
   obs::HealthConfig health_config;
-  health_config.snapshot_interval_s =
-      options.get_double("health-interval", health_config.snapshot_interval_s);
+  health_config.snapshot_interval_s = positive_flag(
+      options, "health-interval", health_config.snapshot_interval_s);
   obs::HealthMonitor health(health_config);
   if (!health_path.empty() || health_stderr) {
     health.set_snapshot_callback([&](const obs::HealthMonitor& h) {

@@ -76,10 +76,13 @@ void print_summary(const obs::Trace& trace, const Options& options) {
     if (!run_selected(options, run)) continue;
     for (std::size_t s = 0; s < run.results.size(); ++s) {
       const auto& r = run.results[s];
+      std::string label = std::to_string(run.id);
+      if (run.results.size() > 1) {
+        label += '.';
+        label += std::to_string(s);
+      }
       table.add_row(
-          {std::to_string(run.id) +
-               (run.results.size() > 1 ? "." + std::to_string(s) : ""),
-           run.context.protocol, std::to_string(run.results.size()),
+          {label, run.context.protocol, std::to_string(run.results.size()),
            std::to_string(run.events.size()),
            std::to_string(r.generations_completed),
            TextTable::fmt(r.throughput_bytes_per_s, 1),
@@ -445,8 +448,12 @@ void print_registry(const obs::Trace& trace) {
 }
 
 std::string span_name(const obs::SpanId& span) {
-  return "(" + std::to_string(span.origin) + "," + std::to_string(span.seq) +
-         ")";
+  std::string name = "(";
+  name += std::to_string(span.origin);
+  name += ',';
+  name += std::to_string(span.seq);
+  name += ')';
+  return name;
 }
 
 std::string span_list(const std::vector<obs::SpanId>& spans) {
