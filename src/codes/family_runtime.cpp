@@ -1,9 +1,6 @@
 #include "codes/family_runtime.h"
 
-#include <cstring>
-
 #include "common/assert.h"
-#include "galois/region.h"
 
 namespace omnc::codes {
 
@@ -16,71 +13,80 @@ FamilyEncoder::FamilyEncoder(const coding::Generation& generation,
       session_id_(session_id),
       spec_(spec.clamped_for(generation.params())) {}
 
-void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
-                                     coding::CodedStructure* structure) {
-  const coding::CodingParams& params = generation_->params();
-  const std::size_t n = params.generation_blocks;
+bool FamilyEncoder::emits_dense() const {
   switch (spec_.family) {
     case CodeFamily::kDense:
-      dense_.next_packet_into(rng, out);
-      *structure = coding::CodedStructure::make_dense();
-      return;
+      return true;
     case CodeFamily::kSystematic:
-      if (next_uncoded_ < n) {
-        // Original block, uncoded: zero RNG draws, zero GF work.
-        const std::uint16_t index =
-            static_cast<std::uint16_t>(next_uncoded_++);
-        out->session_id = session_id_;
-        out->generation_id = generation_->id();
-        out->generation_blocks = params.generation_blocks;
-        out->block_bytes = params.block_bytes;
-        out->coefficients.assign(n, 0);
-        out->coefficients[index] = 1;
-        out->payload.resize(params.block_bytes);
-        std::memcpy(out->payload.data(), generation_->block(index),
-                    params.block_bytes);
-        *structure = coding::CodedStructure::make_uncoded(index);
-        return;
-      }
-      // Repairs are plain dense packets (n draws).
-      dense_.next_packet_into(rng, out);
-      *structure = coding::CodedStructure::make_dense();
-      return;
-    case CodeFamily::kBanded: {
-      const std::size_t w = spec_.band_width;
-      OMNC_ASSERT(w >= 1 && w <= n);
-      // Pinned draws: exactly w bytes.  The window start slides cyclically
-      // so every pivot column is covered once per cycle of n-w+1 packets; a
-      // uniformly random start would leave the edge columns uncovered for
-      // arbitrarily long (column 0 only appears when start == 0).
-      const std::size_t positions = n - w + 1;
-      const std::uint16_t start =
-          static_cast<std::uint16_t>(band_seq_++ % positions);
-      out->session_id = session_id_;
-      out->generation_id = generation_->id();
-      out->generation_blocks = params.generation_blocks;
-      out->block_bytes = params.block_bytes;
-      out->coefficients.assign(n, 0);
-      bool nonzero = false;
-      for (std::size_t i = 0; i < w; ++i) {
-        const std::uint8_t c = rng.next_byte();
-        out->coefficients[start + i] = c;
-        nonzero |= (c != 0);
-      }
-      if (!nonzero) out->coefficients[start] = 1;
-      out->payload.assign(params.block_bytes, 0);
-      fold_ptrs_.resize(w);
-      for (std::size_t i = 0; i < w; ++i) {
-        fold_ptrs_[i] = generation_->block(start + i);
-      }
-      gf::region_axpy_many(out->payload.data(), fold_ptrs_.data(),
-                           out->coefficients.data() + start, w,
-                           params.block_bytes);
-      *structure = coding::CodedStructure::make_window(
-          start, static_cast<std::uint16_t>(w));
-      return;
-    }
+      return next_uncoded_ >= generation_->params().generation_blocks;
+    case CodeFamily::kBanded:
+      return false;
   }
+  return false;  // unreachable
+}
+
+void FamilyEncoder::next_packet_into(Rng& rng, coding::CodedPacket* out,
+                                     coding::CodedStructure* structure) {
+  if (emits_dense()) {
+    // Draw and fold in the dense encoder's one coding/encode scope.
+    dense_.next_packet_into(rng, out);
+    *structure = coding::CodedStructure::make_dense();
+    return;
+  }
+  const std::size_t m = generation_->params().block_bytes;
+  draw_into(rng, out, structure, &fold_);
+  out->payload.resize(m);
+  coding::fold_rows(generation_->bytes(), m, fold_.first_row, fold_.factors,
+                    out->payload.data(), &fold_ptrs_);
+}
+
+void FamilyEncoder::draw_into(Rng& rng, coding::CodedPacket* out,
+                              coding::CodedStructure* structure,
+                              coding::PayloadFold* fold) {
+  if (emits_dense()) {
+    // Dense packets and systematic repairs: n draws.
+    dense_.draw_into(rng, out, fold);
+    *structure = coding::CodedStructure::make_dense();
+    return;
+  }
+  const coding::CodingParams& params = generation_->params();
+  const std::size_t n = params.generation_blocks;
+  out->session_id = session_id_;
+  out->generation_id = generation_->id();
+  out->generation_blocks = params.generation_blocks;
+  out->block_bytes = params.block_bytes;
+  out->coefficients.assign(n, 0);
+  out->payload.clear();
+  if (spec_.family == CodeFamily::kSystematic) {
+    // Original block, uncoded: zero RNG draws, its fold a copy.
+    const std::uint16_t index = static_cast<std::uint16_t>(next_uncoded_++);
+    out->coefficients[index] = 1;
+    fold->first_row = index;
+    fold->factors.assign(1, 1);
+    *structure = coding::CodedStructure::make_uncoded(index);
+    return;
+  }
+  OMNC_ASSERT(spec_.family == CodeFamily::kBanded);
+  const std::size_t w = spec_.band_width;
+  OMNC_ASSERT(w >= 1 && w <= n);
+  // Pinned draws: exactly w bytes.  The window start slides cyclically so
+  // every pivot column is covered once per cycle of n-w+1 packets; a
+  // uniformly random start would leave the edge columns uncovered for
+  // arbitrarily long (column 0 only appears when start == 0).
+  const std::size_t positions = n - w + 1;
+  const std::uint16_t start =
+      static_cast<std::uint16_t>(band_seq_++ % positions);
+  std::uint8_t* window = out->coefficients.data() + start;
+  bool nonzero = false;
+  for (std::size_t i = 0; i < w; ++i) {
+    window[i] = rng.next_byte();
+    nonzero |= (window[i] != 0);
+  }
+  if (!nonzero) window[0] = 1;
+  fold->first_row = start;
+  fold->factors.assign(window, window + w);
+  *structure =
+      coding::CodedStructure::make_window(start, static_cast<std::uint16_t>(w));
 }
 
 void FamilyEncoder::rewind() {
@@ -129,8 +135,22 @@ bool FamilyRecoder::offer(const coding::CodedPacketView& view,
 
 void FamilyRecoder::recode_into(Rng& rng, coding::CodedPacket* out,
                                 coding::CodedStructure* structure) {
-  if (spec_.is_dense() || next_forward_ >= forward_rows_.size()) {
+  if (emits_dense()) {
+    // Draw and fold in the dense recoder's one coding/recode scope.
     dense_.recode_into(rng, out);
+    *structure = coding::CodedStructure::make_dense();
+    return;
+  }
+  draw_into(rng, out, structure, &fold_);
+  const std::span<const std::uint8_t> row = dense_.row_payload(fold_.first_row);
+  out->payload.assign(row.begin(), row.end());
+}
+
+void FamilyRecoder::draw_into(Rng& rng, coding::CodedPacket* out,
+                              coding::CodedStructure* structure,
+                              coding::PayloadFold* fold) {
+  if (emits_dense()) {
+    dense_.draw_into(rng, out, fold);
     *structure = coding::CodedStructure::make_dense();
     return;
   }
@@ -139,13 +159,14 @@ void FamilyRecoder::recode_into(Rng& rng, coding::CodedPacket* out,
   const ForwardRow& row = forward_rows_[next_forward_++];
   const std::span<const std::uint8_t> coefficients =
       dense_.row_coefficients(row.slot);
-  const std::span<const std::uint8_t> payload = dense_.row_payload(row.slot);
   out->session_id = session_id_;
   out->generation_id = generation_id();
   out->generation_blocks = params_.generation_blocks;
   out->block_bytes = params_.block_bytes;
   out->coefficients.assign(coefficients.begin(), coefficients.end());
-  out->payload.assign(payload.begin(), payload.end());
+  out->payload.clear();
+  fold->first_row = static_cast<std::uint16_t>(row.slot);
+  fold->factors.assign(1, 1);
   *structure = row.structure;
 }
 

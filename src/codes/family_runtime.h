@@ -25,6 +25,16 @@
 //   dense recode         — rank() byte draws;
 //   structured forward   — 0 draws (an arena row re-emitted verbatim).
 // All-zero draws are repaired deterministically (never re-drawn).
+//
+// Every emission is a draw plus a payload fold (DESIGN.md §15.1): the draw
+// takes the RNG bytes above and writes the header and coefficients, and a
+// coding::PayloadFold names the emitter rows and factors the payload
+// combines — the n blocks by the coefficients (dense packets and systematic
+// repairs), one block by 1 (a systematic original), the w window blocks by
+// the window coefficients (banded), the rank() arena rows by the
+// multipliers (dense recode), one arena row by 1 (a structured forward).
+// next_packet_into() / recode_into() run both halves back to back;
+// draw_into() and fold_into() let a caller run the fold later, or never.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +68,18 @@ class FamilyEncoder {
   void next_packet_into(Rng& rng, coding::CodedPacket* out,
                         coding::CodedStructure* structure);
 
+  /// The draw half of next_packet_into(): the same emission with `out`'s
+  /// payload left empty and its recipe in `fold`.
+  void draw_into(Rng& rng, coding::CodedPacket* out,
+                 coding::CodedStructure* structure, coding::PayloadFold* fold);
+
+  /// The fold half, over the borrowed generation's blocks (coding/encode
+  /// timer).  Exact until the caller refills the generation.
+  void fold_into(const coding::PayloadFold& fold,
+                 std::uint8_t* payload) const {
+    dense_.fold_into(fold, payload);
+  }
+
   /// Restarts the emission sequence (the systematic originals, the banded
   /// window cycle) after the caller refilled the borrowed generation in
   /// place: the next packets are those a fresh encoder would emit.
@@ -67,13 +89,18 @@ class FamilyEncoder {
   const CodeSpec& spec() const { return spec_; }
 
  private:
+  /// True if the next emission is a dense packet: the dense family, and
+  /// systematic repairs once the originals are out.
+  bool emits_dense() const;
+
   coding::SourceEncoder dense_;
   const coding::Generation* generation_;
   std::uint32_t session_id_;
   CodeSpec spec_;  // clamped
   std::uint32_t next_uncoded_ = 0;
   std::uint32_t band_seq_ = 0;  // banded window-start cycle position
-  std::vector<const std::uint8_t*> fold_ptrs_;  // banded window fold scratch
+  coding::PayloadFold fold_;    // next_packet_into's structured recipe
+  std::vector<const std::uint8_t*> fold_ptrs_;  // its fold scratch
 };
 
 class FamilyRecoder {
@@ -103,6 +130,18 @@ class FamilyRecoder {
   void recode_into(Rng& rng, coding::CodedPacket* out,
                    coding::CodedStructure* structure);
 
+  /// The draw half of recode_into(): the same emission with `out`'s
+  /// payload left empty and its recipe over the arena rows in `fold`.
+  void draw_into(Rng& rng, coding::CodedPacket* out,
+                 coding::CodedStructure* structure, coding::PayloadFold* fold);
+
+  /// The fold half, over the recoder's arena rows (coding/recode timer).
+  /// Exact until the next reset().
+  void fold_into(const coding::PayloadFold& fold,
+                 std::uint8_t* payload) const {
+    dense_.fold_into(fold, payload);
+  }
+
   void reset(std::uint32_t generation_id);
 
  private:
@@ -117,9 +156,16 @@ class FamilyRecoder {
   coding::CodingParams params_;
   std::uint32_t session_id_;
   CodeSpec spec_;
+  /// True if the next emission is a dense recode: the dense spec, and
+  /// every spec once the stored structured rows are forwarded.
+  bool emits_dense() const {
+    return spec_.is_dense() || next_forward_ >= forward_rows_.size();
+  }
+
   std::vector<ForwardRow> forward_rows_;  // non-dense spec only
   std::size_t next_forward_ = 0;
   std::vector<std::uint8_t> scratch_coeffs_;  // dense expansion for offers
+  coding::PayloadFold fold_;  // recode_into's forward recipe
 };
 
 class FamilyDecoder {

@@ -62,7 +62,7 @@ bool StructuredDecoder::offer(const coding::CodedPacketView& view,
       !present_[structure.index]) {
     const std::size_t p = structure.index;
     row_coeffs(p)[p] = 1;
-    std::memcpy(row_payload(p), view.payload.data(), m);
+    std::memcpy(row_payload(p), view.read_payload().data(), m);
     begin_[p] = static_cast<std::uint16_t>(p);
     end_[p] = static_cast<std::uint16_t>(p + 1);
     present_[p] = 1;
@@ -141,7 +141,7 @@ bool StructuredDecoder::offer(const coding::CodedPacketView& view,
   begin_[h] = static_cast<std::uint16_t>(h);
   end_[h] = static_cast<std::uint16_t>(e);
   present_[h] = 1;
-  std::memcpy(row_payload(h), view.payload.data(), m);
+  std::memcpy(row_payload(h), view.read_payload().data(), m);
   if (!pending_rows_.empty()) {
     axpy_srcs_.resize(pending_rows_.size());
     axpy_factors_.resize(pending_rows_.size());

@@ -4,6 +4,7 @@
 
 #include "common/assert.h"
 #include "common/byte_order.h"
+#include "galois/region.h"
 
 namespace omnc::coding {
 namespace {
@@ -35,6 +36,33 @@ void CodedPacket::serialize_to(std::span<std::uint8_t> out) const {
   OMNC_ASSERT(out.size() == wire_size());
   put_header(out.data(), *this);
   put_bytes(put_bytes(out.data() + kHeaderBytes, coefficients), payload);
+}
+
+void CodedPacket::serialize_head_to(std::span<std::uint8_t> out) const {
+  OMNC_ASSERT(payload.empty());
+  OMNC_ASSERT(out.size() == wire_size() + block_bytes);
+  put_header(out.data(), *this);
+  put_bytes(out.data() + kHeaderBytes, coefficients);
+}
+
+void fold_rows(std::span<const std::uint8_t> rows, std::size_t row_bytes,
+               std::size_t first_row, std::span<const std::uint8_t> factors,
+               std::uint8_t* out, std::vector<const std::uint8_t*>* srcs) {
+  const std::size_t count = factors.size();
+  OMNC_ASSERT(count > 0);
+  OMNC_ASSERT((first_row + count) * row_bytes <= rows.size());
+  const std::uint8_t* first = rows.data() + first_row * row_bytes;
+  if (count == 1 && factors[0] == 1) {
+    // An uncoded original or a verbatim forward: the row itself.
+    std::memcpy(out, first, row_bytes);
+    return;
+  }
+  std::memset(out, 0, row_bytes);
+  // Fused fold: 2-4 source rows per pass over the output instead of one
+  // read/write of it per row.
+  srcs->resize(count);
+  for (std::size_t k = 0; k < count; ++k) (*srcs)[k] = first + k * row_bytes;
+  gf::region_axpy_many(out, srcs->data(), factors.data(), count, row_bytes);
 }
 
 bool CodedPacketView::parse(std::span<const std::uint8_t> wire,

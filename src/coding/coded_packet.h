@@ -51,6 +51,36 @@ void expand_coefficients(const CodedStructure& structure,
                          std::span<const std::uint8_t> window,
                          std::uint16_t generation_blocks, std::uint8_t* out);
 
+/// The payload half of an emission, kept apart from the draw so that it can
+/// run later (DESIGN.md §9): payload = Σ_k factors[k] · row(first_row + k)
+/// over the emitter's rows — a source's generation blocks, a relay's arena
+/// rows in insertion order.  Rows are named by index, never by address, so
+/// a recipe stays valid while the emitter's row storage grows.
+struct PayloadFold {
+  std::uint16_t first_row = 0;
+  std::vector<std::uint8_t> factors;  // one per row from first_row on
+};
+
+/// Writes the fold of rows [first_row, first_row + factors.size()) of
+/// `rows` (row-major, `row_bytes` per row) into `out` (row_bytes bytes, fully
+/// overwritten).  `srcs` is row-pointer scratch.
+void fold_rows(std::span<const std::uint8_t> rows, std::size_t row_bytes,
+               std::size_t first_row, std::span<const std::uint8_t> factors,
+               std::uint8_t* out, std::vector<const std::uint8_t*>* srcs);
+
+/// A payload whose bytes are written on first read: a holder of a coded
+/// packet's header and coefficients whose payload fold has not run yet
+/// lends one to the view, and CodedPacketView::read_payload() runs it.
+class DeferredPayload {
+ public:
+  /// Writes the payload bytes into the region the view's `payload` spans;
+  /// a no-op once they are written.
+  virtual void fold() const = 0;
+
+ protected:
+  ~DeferredPayload() = default;
+};
+
 /// Non-owning parse of a coded packet: the header fields are decoded, the
 /// coefficient vector and payload stay as spans into the caller's buffer.
 /// This is the zero-copy receive path — a view can be validated and offered
@@ -64,7 +94,20 @@ struct CodedPacketView {
   std::uint16_t generation_blocks = 0;        // n
   std::uint16_t block_bytes = 0;              // m
   std::span<const std::uint8_t> coefficients;  // length n, into the buffer
-  std::span<const std::uint8_t> payload;       // length m, into the buffer
+  /// Length m, into the buffer.  Its bytes are only written once `deferred`
+  /// (when set) has run: read them through read_payload().
+  std::span<const std::uint8_t> payload;
+  /// The slot simulator's frames fold their payload on first read; null
+  /// when the bytes are already there (every parsed wire buffer).
+  const DeferredPayload* deferred = nullptr;
+
+  /// The payload bytes, folded first if deferred.  Only code that has
+  /// already decided the packet is innovative may call it: a rejected
+  /// packet's payload is never folded.
+  std::span<const std::uint8_t> read_payload() const {
+    if (deferred != nullptr) deferred->fold();
+    return payload;
+  }
 
   bool dimensions_match(const CodingParams& params) const {
     return generation_blocks == params.generation_blocks &&
@@ -110,6 +153,11 @@ struct CodedPacket {
   /// wire_size() bytes: fixed-offset header stores, then one copy each for
   /// the coefficients and the payload.
   void serialize_to(std::span<std::uint8_t> out) const;
+
+  /// Writes the header and the coefficients of a packet whose payload is
+  /// not drawn yet into the front of `out`, which must hold them plus
+  /// block_bytes payload bytes; the payload bytes are left to a later fold.
+  void serialize_head_to(std::span<std::uint8_t> out) const;
 
   /// Non-owning view over this packet's own storage (same lifetime rules as
   /// a parsed view: valid while the packet is alive and unmodified).

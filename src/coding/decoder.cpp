@@ -24,7 +24,7 @@ bool ProgressiveDecoder::offer(const CodedPacketView& view) {
   ++packets_seen_;
   // No row assembly: coefficients and payload go straight into the split
   // arenas, and a non-innovative packet's payload is never even read.
-  return rref_.insert(view.coefficients.data(), view.payload.data());
+  return rref_.insert(view);
 }
 
 std::vector<std::uint8_t> ProgressiveDecoder::recover() const {

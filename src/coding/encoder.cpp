@@ -1,7 +1,6 @@
 #include "coding/encoder.h"
 
 #include "common/assert.h"
-#include "galois/region.h"
 #include "obs/registry.h"
 
 namespace omnc::coding {
@@ -16,15 +15,13 @@ CodedPacket SourceEncoder::next_packet(Rng& rng) const {
   return pkt;
 }
 
-void SourceEncoder::next_packet_into(Rng& rng, CodedPacket* out) const {
-  OMNC_SCOPED_TIMER("coding/encode");
+void SourceEncoder::draw(Rng& rng, CodedPacket* out) const {
   const CodingParams& params = generation_->params();
-  const std::size_t n = params.generation_blocks;
   out->session_id = session_id_;
   out->generation_id = generation_->id();
   out->generation_blocks = params.generation_blocks;
   out->block_bytes = params.block_bytes;
-  out->coefficients.resize(n);
+  out->coefficients.resize(params.generation_blocks);
   // Pinned draw count: exactly n byte draws per packet, no retry loop.  The
   // all-zero vector (probability 256^-n) is repaired deterministically so
   // every code family consumes the same number of RNG draws per emission and
@@ -35,13 +32,31 @@ void SourceEncoder::next_packet_into(Rng& rng, CodedPacket* out) const {
     nonzero |= (c != 0);
   }
   if (!nonzero) out->coefficients[0] = 1;
-  out->payload.assign(params.block_bytes, 0);
-  // Fused fold over the generation's blocks: 2-4 source rows per pass over
-  // the payload instead of one destination read/write per block.
-  block_ptrs_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) block_ptrs_[i] = generation_->block(i);
-  gf::region_axpy_many(out->payload.data(), block_ptrs_.data(),
-                       out->coefficients.data(), n, params.block_bytes);
+}
+
+void SourceEncoder::next_packet_into(Rng& rng, CodedPacket* out) const {
+  OMNC_SCOPED_TIMER("coding/encode");
+  const std::size_t m = generation_->params().block_bytes;
+  draw(rng, out);
+  out->payload.resize(m);
+  fold_rows(generation_->bytes(), m, 0, out->coefficients,
+            out->payload.data(), &block_ptrs_);
+}
+
+void SourceEncoder::draw_into(Rng& rng, CodedPacket* out,
+                              PayloadFold* fold) const {
+  OMNC_SCOPED_TIMER("coding/encode");
+  draw(rng, out);
+  out->payload.clear();
+  fold->first_row = 0;
+  fold->factors.assign(out->coefficients.begin(), out->coefficients.end());
+}
+
+void SourceEncoder::fold_into(const PayloadFold& fold,
+                              std::uint8_t* payload) const {
+  OMNC_SCOPED_TIMER("coding/encode");
+  fold_rows(generation_->bytes(), generation_->params().block_bytes,
+            fold.first_row, fold.factors, payload, &block_ptrs_);
 }
 
 CodedPacket SourceEncoder::packet_with_coefficients(
@@ -54,16 +69,9 @@ CodedPacket SourceEncoder::packet_with_coefficients(
   pkt.generation_blocks = params.generation_blocks;
   pkt.block_bytes = params.block_bytes;
   pkt.coefficients = coefficients;
-  pkt.payload.assign(params.block_bytes, 0);
-  // Fused fold over the generation's blocks: 2-4 source rows per pass over
-  // the payload instead of one destination read/write per block.
-  block_ptrs_.resize(coefficients.size());
-  for (std::size_t i = 0; i < coefficients.size(); ++i) {
-    block_ptrs_[i] = generation_->block(i);
-  }
-  gf::region_axpy_many(pkt.payload.data(), block_ptrs_.data(),
-                       coefficients.data(), coefficients.size(),
-                       params.block_bytes);
+  pkt.payload.resize(params.block_bytes);
+  fold_rows(generation_->bytes(), params.block_bytes, 0, coefficients,
+            pkt.payload.data(), &block_ptrs_);
   return pkt;
 }
 

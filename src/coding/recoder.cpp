@@ -27,8 +27,9 @@ bool Recoder::offer(const CodedPacketView& view) {
   if (!filter_.insert(view.coefficients.data(), nullptr)) return false;
   basis_coeffs_.insert(basis_coeffs_.end(), view.coefficients.begin(),
                        view.coefficients.end());
-  basis_payloads_.insert(basis_payloads_.end(), view.payload.begin(),
-                         view.payload.end());
+  const std::span<const std::uint8_t> payload = view.read_payload();
+  basis_payloads_.insert(basis_payloads_.end(), payload.begin(),
+                         payload.end());
   return true;
 }
 
@@ -51,18 +52,15 @@ CodedPacket Recoder::recode(Rng& rng) const {
   return out;
 }
 
-void Recoder::recode_into(Rng& rng, CodedPacket* out) const {
-  OMNC_SCOPED_TIMER("coding/recode");
+void Recoder::draw(Rng& rng, CodedPacket* out) const {
   OMNC_ASSERT_MSG(can_send(), "recode() with an empty basis");
   const std::size_t count = filter_.rank();
   const std::size_t n = params_.generation_blocks;
-  const std::size_t m = params_.block_bytes;
   out->session_id = session_id_;
   out->generation_id = generation_id_;
   out->generation_blocks = params_.generation_blocks;
   out->block_bytes = params_.block_bytes;
   out->coefficients.assign(n, 0);
-  out->payload.assign(m, 0);
   // Random combination over the basis.  At least one multiplier must be
   // nonzero, otherwise the output would be the zero packet.  The draw count
   // is pinned at exactly rank() byte draws: the old retry loop re-drew the
@@ -77,18 +75,37 @@ void Recoder::recode_into(Rng& rng, CodedPacket* out) const {
     nonzero |= (mult != 0);
   }
   if (!nonzero) multipliers_[0] = 1;
-  // Fold the combination through the fused kernels: 2-4 basis rows per
+  // Fold the coefficients through the fused kernels: 2-4 basis rows per
   // destination pass instead of re-reading the output row for each source.
   coeff_srcs_.resize(count);
-  payload_srcs_.resize(count);
   for (std::size_t k = 0; k < count; ++k) {
     coeff_srcs_[k] = basis_coeffs_.data() + k * n;
-    payload_srcs_[k] = basis_payloads_.data() + k * m;
   }
   gf::region_axpy_many(out->coefficients.data(), coeff_srcs_.data(),
                        multipliers_.data(), count, n);
-  gf::region_axpy_many(out->payload.data(), payload_srcs_.data(),
-                       multipliers_.data(), count, m);
+}
+
+void Recoder::recode_into(Rng& rng, CodedPacket* out) const {
+  OMNC_SCOPED_TIMER("coding/recode");
+  const std::size_t m = params_.block_bytes;
+  draw(rng, out);
+  out->payload.resize(m);
+  fold_rows(basis_payloads_, m, 0, multipliers_, out->payload.data(),
+            &payload_srcs_);
+}
+
+void Recoder::draw_into(Rng& rng, CodedPacket* out, PayloadFold* fold) const {
+  OMNC_SCOPED_TIMER("coding/recode");
+  draw(rng, out);
+  out->payload.clear();
+  fold->first_row = 0;
+  fold->factors.assign(multipliers_.begin(), multipliers_.end());
+}
+
+void Recoder::fold_into(const PayloadFold& fold, std::uint8_t* payload) const {
+  OMNC_SCOPED_TIMER("coding/recode");
+  fold_rows(basis_payloads_, params_.block_bytes, fold.first_row,
+            fold.factors, payload, &payload_srcs_);
 }
 
 void Recoder::reset(std::uint32_t generation_id) {

@@ -13,7 +13,9 @@
 // the zero-copy receive path an innovative packet's bytes are copied exactly
 // once (into the arenas) and a non-innovative packet's payload is never
 // read.  recode_into() re-encodes straight from the arenas into a reused
-// output packet: the steady-state relay path allocates nothing.
+// output packet: the steady-state relay path allocates nothing.  Like the
+// source encoder's, an emission splits into a draw (multipliers and
+// coefficients) and a payload fold that may run later.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +67,17 @@ class Recoder {
   /// recode() for the same rng state.
   void recode_into(Rng& rng, CodedPacket* out) const;
 
+  /// The draw half of recode_into() (DESIGN.md §9): the same rank() rng
+  /// draws, header and folded coefficients, with `out`'s payload left
+  /// empty and the multipliers over the arena rows in `fold`.
+  void draw_into(Rng& rng, CodedPacket* out, PayloadFold* fold) const;
+
+  /// The fold half: writes `fold`'s combination of the payload arena rows
+  /// into `payload` (block_bytes bytes) — a recode's multipliers, or one
+  /// row verbatim.  Exact until the next reset(); accepting more rows keeps
+  /// it exact, since rows are named by insertion index.
+  void fold_into(const PayloadFold& fold, std::uint8_t* payload) const;
+
   /// Discards the basis and moves to a new generation (triggered by an
   /// ACK or by overhearing a higher generation ID).
   void reset(std::uint32_t generation_id);
@@ -78,6 +91,10 @@ class Recoder {
   RrefAccumulator filter_;
   std::vector<std::uint8_t> basis_coeffs_;    // rank x n, as received
   std::vector<std::uint8_t> basis_payloads_;  // rank x m, as received
+  /// Header, rank() multiplier draws into multipliers_ and the coefficient
+  /// fold; leaves the payload untouched.
+  void draw(Rng& rng, CodedPacket* out) const;
+
   mutable std::vector<std::uint8_t> multipliers_;
   mutable std::vector<const std::uint8_t*> coeff_srcs_;
   mutable std::vector<const std::uint8_t*> payload_srcs_;

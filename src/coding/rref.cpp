@@ -22,8 +22,19 @@ RrefAccumulator::RrefAccumulator(std::size_t pivot_cols, std::size_t row_bytes)
 
 bool RrefAccumulator::insert(const std::uint8_t* coefficients,
                              const std::uint8_t* payload) {
-  OMNC_SCOPED_TIMER("coding/rref_insert");
   OMNC_ASSERT(payload_bytes_ == 0 || payload != nullptr);
+  return insert_row(coefficients, payload, nullptr);
+}
+
+bool RrefAccumulator::insert(const CodedPacketView& packet) {
+  OMNC_ASSERT(packet.payload.size() == payload_bytes_);
+  return insert_row(packet.coefficients.data(), nullptr, &packet);
+}
+
+bool RrefAccumulator::insert_row(const std::uint8_t* coefficients,
+                                 const std::uint8_t* payload,
+                                 const CodedPacketView* packet) {
+  OMNC_SCOPED_TIMER("coding/rref_insert");
   if (complete()) {
     last_insert_pivot_ = -1;
     return false;  // the basis already spans the whole space
@@ -112,6 +123,7 @@ bool RrefAccumulator::insert(const std::uint8_t* coefficients,
   basis_.resize(basis_.size() + stride_);  // zero-filled beyond `width`
   std::memcpy(basis_.data() + slot * stride_, sc, width);
   if (track_payload) {
+    if (packet != nullptr) payload = packet->read_payload().data();
     raw_.insert(raw_.end(), payload, payload + payload_bytes_);
   }
   const BasisRow entry{pivot, slot};

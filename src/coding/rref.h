@@ -37,6 +37,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "coding/coded_packet.h"
+
 namespace omnc::coding {
 
 class RrefAccumulator {
@@ -57,6 +59,11 @@ class RrefAccumulator {
   /// that case the payload is never even read.  `payload` may be nullptr
   /// when payload_bytes() == 0 (the coefficient-only innovation filter).
   bool insert(const std::uint8_t* coefficients, const std::uint8_t* payload);
+
+  /// The same for a coded packet's row: its payload is read through
+  /// read_payload() — folded there if deferred — only once the row is
+  /// accepted.  Requires payload_bytes() == the packet's block_bytes.
+  bool insert(const CodedPacketView& packet);
 
   /// Pivot column claimed by the most recent successful insert(), or -1 if
   /// no insert has succeeded since construction/clear() or the last offer
@@ -83,6 +90,11 @@ class RrefAccumulator {
     std::size_t pivot;
     std::size_t index;  // row slot in the arenas, in insertion order
   };
+
+  /// Both inserts: `packet`, when set, supplies the payload in place of
+  /// `payload`, read only on acceptance.
+  bool insert_row(const std::uint8_t* coefficients,
+                  const std::uint8_t* payload, const CodedPacketView* packet);
 
   /// A basis-arena row: pivot_cols coefficient bytes, then (when payloads
   /// are tracked) pivot_cols transform bytes.

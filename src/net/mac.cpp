@@ -152,6 +152,14 @@ void SlottedMac::purge_queue(
               queue.end());
 }
 
+void SlottedMac::for_each_queued(
+    NodeId node, const std::function<void(const Frame&)>& visit) const {
+  for (const Frame& frame :
+       states_[static_cast<std::size_t>(index_of(node))].queue) {
+    visit(frame);
+  }
+}
+
 void SlottedMac::start() {
   if (running_) return;
   running_ = true;
@@ -294,12 +302,11 @@ void SlottedMac::run_slot() {
     }
   }
 
-  // Sample queue sizes for the Fig. 3 metric.
-  for (std::size_t i = 0; i < n; ++i) {
-    NodeState& state = states_[i];
-    state.queue_average.advance_to(now, static_cast<double>(state.queue.size()));
-    if (observer_ != nullptr) {
-      observer_->on_queue_sample(now, participants_[i], state.queue.size());
+  // Queue-size samples for the Fig. 3 metric; observers average them.
+  if (observer_ != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      observer_->on_queue_sample(now, participants_[i],
+                                 states_[i].queue.size());
     }
   }
 
@@ -319,10 +326,5 @@ std::size_t SlottedMac::total_transmissions() const {
 }
 
 std::size_t SlottedMac::total_deliveries() const { return deliveries_; }
-
-double SlottedMac::queue_time_average(NodeId node) const {
-  return states_[static_cast<std::size_t>(index_of(node))]
-      .queue_average.average();
-}
 
 }  // namespace omnc::net

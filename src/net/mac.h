@@ -30,7 +30,6 @@
 
 #include "coding/coded_packet.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -197,6 +196,10 @@ class SlottedMac {
   void purge_queue(NodeId node,
                    const std::function<bool(const Frame&)>& predicate);
 
+  /// Visits `node`'s queued frames, head first, without changing the queue.
+  void for_each_queued(NodeId node,
+                       const std::function<void(const Frame&)>& visit) const;
+
   /// Begins slot processing; idempotent.
   void start();
   /// Stops scheduling further slots.
@@ -211,10 +214,6 @@ class SlottedMac {
   /// Reliable unicast frames abandoned after the retry limit.
   std::size_t total_retry_failures() const { return retry_failures_; }
 
-  /// Per-node time-averaged queue size (sampled every slot), the Fig. 3
-  /// metric.
-  double queue_time_average(NodeId node) const;
-
  private:
   struct NodeState {
     std::deque<Frame> queue;  // FIFO
@@ -224,7 +223,6 @@ class SlottedMac {
     /// while positive the node keeps transmitting (interference-wise) and is
     /// not re-admitted.
     int cooldown = 0;
-    TimeAverage queue_average;
   };
 
   /// One directed participant link with Gilbert-Elliott state.

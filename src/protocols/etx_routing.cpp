@@ -3,9 +3,32 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "common/stats.h"
 #include "routing/etx.h"
 
 namespace omnc::protocols {
+namespace {
+
+/// Time-averaged queue size per node (the Fig. 3 metric), from the MAC's
+/// per-slot queue samples.
+class QueueAverages final : public net::MacObserver {
+ public:
+  explicit QueueAverages(int nodes)
+      : averages_(static_cast<std::size_t>(nodes)) {}
+  void on_queue_sample(sim::Time now, net::NodeId node,
+                       std::size_t queue_len) override {
+    averages_[static_cast<std::size_t>(node)].advance_to(
+        now, static_cast<double>(queue_len));
+  }
+  double average(net::NodeId node) const {
+    return averages_[static_cast<std::size_t>(node)].average();
+  }
+
+ private:
+  std::vector<TimeAverage> averages_;  // by topology NodeId
+};
+
+}  // namespace
 
 EtxRoutingProtocol::EtxRoutingProtocol(const net::Topology& topology,
                                        net::NodeId src, net::NodeId dst,
@@ -23,6 +46,8 @@ SessionResult EtxRoutingProtocol::run() {
   Rng rng(config_.seed ^ 0xe7e7e7e7ULL);
   net::SlottedMac mac(simulator, topology_, route_, config_.mac,
                       rng.fork(0x22));
+  QueueAverages queues(topology_.node_count());
+  mac.set_observer(&queues);
 
   // next_hop[node] on the route.
   std::vector<net::NodeId> next(static_cast<std::size_t>(topology_.node_count()),
@@ -86,7 +111,7 @@ SessionResult EtxRoutingProtocol::run() {
   int involved = 0;
   for (net::NodeId node : route_) {
     if (mac.transmissions(node) == 0) continue;
-    queue_sum += mac.queue_time_average(node);
+    queue_sum += queues.average(node);
     ++involved;
   }
   result.mean_queue = involved > 0 ? queue_sum / involved : 0.0;

@@ -90,6 +90,29 @@ void NodeRuntime::next_packet_into(Rng& rng, coding::CodedPacket* out,
   recoder_->recode_into(rng, out, sink);
 }
 
+void NodeRuntime::draw_into(Rng& rng, coding::CodedPacket* out,
+                            coding::CodedStructure* structure,
+                            coding::PayloadFold* fold) {
+  if (role_ == Role::kSource) {
+    OMNC_ASSERT(encoder_.has_value());
+    encoder_->draw_into(rng, out, structure, fold);
+    return;
+  }
+  OMNC_ASSERT(role_ == Role::kRelay);
+  recoder_->draw_into(rng, out, structure, fold);
+}
+
+void NodeRuntime::fold_into(const coding::PayloadFold& fold,
+                            std::uint8_t* payload) const {
+  if (role_ == Role::kSource) {
+    OMNC_ASSERT(encoder_.has_value());
+    encoder_->fold_into(fold, payload);
+    return;
+  }
+  OMNC_ASSERT(role_ == Role::kRelay);
+  recoder_->fold_into(fold, payload);
+}
+
 NodeRuntime::ReceiveOutcome NodeRuntime::receive(
     const coding::CodedPacket& packet) {
   return receive(packet.as_view(), coding::CodedStructure::make_dense());

@@ -73,6 +73,17 @@ class NodeRuntime {
   void next_packet_into(Rng& rng, coding::CodedPacket* out,
                         coding::CodedStructure* structure = nullptr);
 
+  /// The draw half of next_packet_into() (DESIGN.md §9): the same rng
+  /// draws, header, coefficients and structure, with `out`'s payload left
+  /// empty and its recipe in `fold`.
+  void draw_into(Rng& rng, coding::CodedPacket* out,
+                 coding::CodedStructure* structure, coding::PayloadFold* fold);
+
+  /// The fold half: writes `fold`'s payload from this node's rows into
+  /// `payload` (block_bytes bytes).  Exact only until the rows change — a
+  /// relay's flush_to(), the source's next generation.
+  void fold_into(const coding::PayloadFold& fold, std::uint8_t* payload) const;
+
   struct ReceiveOutcome {
     bool innovative = false;
     /// Destination only: the decoder just reached full rank.

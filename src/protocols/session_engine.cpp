@@ -32,28 +32,65 @@ std::uint32_t frame_generation_id(const std::vector<std::uint8_t>& wire) {
 
 }  // namespace
 
+/// A frame's wire bytes and, while its payload bytes are unwritten, the
+/// emission's fold and its emitter.  Frames on the engine's MAC all come
+/// from the pool, so a frame's bytes are always a Buffer.
+class SessionEngine::FramePool::Buffer final
+    : public std::vector<std::uint8_t>,
+      public coding::DeferredPayload {
+ public:
+  void fold() const override {
+    if (emitter == nullptr) return;
+    emitter->fold_into(recipe, payload);
+    emitter = nullptr;  // at most once; later readers see the bytes
+  }
+
+  coding::PayloadFold recipe;
+  std::uint8_t* payload = nullptr;  // the payload region of this buffer
+  mutable const NodeRuntime* emitter = nullptr;  // null once written
+};
+
 SessionEngine::FramePool::~FramePool() {
   OMNC_ASSERT_MSG(in_flight_ == 0, "a frame outlived its buffer pool");
 }
 
 std::shared_ptr<const std::vector<std::uint8_t>>
-SessionEngine::FramePool::serialize(const coding::CodedPacket& packet) {
-  std::unique_ptr<std::vector<std::uint8_t>> buffer;
+SessionEngine::FramePool::serialize(const coding::CodedPacket& head,
+                                    const coding::PayloadFold& fold,
+                                    const NodeRuntime& emitter) {
+  std::unique_ptr<Buffer> buffer;
   if (free_buffers_.empty()) {
-    buffer = std::make_unique<std::vector<std::uint8_t>>();
+    buffer = std::make_unique<Buffer>();
   } else {
     buffer = std::move(free_buffers_.back());
     free_buffers_.pop_back();
   }
-  buffer->resize(packet.wire_size());
-  packet.serialize_to(*buffer);  // writes every byte
+  const std::size_t head_bytes = head.wire_size();
+  buffer->resize(head_bytes + head.block_bytes);
+  head.serialize_head_to(*buffer);
+  buffer->recipe.first_row = fold.first_row;
+  buffer->recipe.factors.assign(fold.factors.begin(), fold.factors.end());
+  buffer->payload = buffer->data() + head_bytes;
+  buffer->emitter = &emitter;
   ++in_flight_;
   return {buffer.release(), Release{this},
           std::pmr::polymorphic_allocator<std::byte>(&control_blocks_)};
 }
 
-void SessionEngine::FramePool::Release::operator()(
-    std::vector<std::uint8_t>* buffer) const {
+const coding::DeferredPayload* SessionEngine::FramePool::pending_fold(
+    const net::Frame& frame) {
+  const Buffer& buffer = static_cast<const Buffer&>(*frame.bytes);
+  return buffer.emitter != nullptr ? &buffer : nullptr;
+}
+
+void SessionEngine::FramePool::fold_if_from(const net::Frame& frame,
+                                            const NodeRuntime& emitter) {
+  const Buffer& buffer = static_cast<const Buffer&>(*frame.bytes);
+  if (buffer.emitter == &emitter) buffer.fold();
+}
+
+void SessionEngine::FramePool::Release::operator()(Buffer* buffer) const {
+  buffer->emitter = nullptr;  // a frame dropped unread is never folded
   pool->free_buffers_.emplace_back(buffer);
   --pool->in_flight_;
 }
@@ -247,11 +284,13 @@ void SessionEngine::on_slot(sim::Time now) {
       const int wanted = state.policy->packets_to_enqueue(local, slot_seconds);
       if (wanted <= 0) continue;
       for (int k = 0; k < wanted; ++k) {
+        // Only the draw runs here; a receiver that accepts the frame runs
+        // the payload fold (DESIGN.md §9).
         net::Frame frame;
-        node.next_packet_into(rng_, &tx_packet_, &frame.structure);
+        node.draw_into(rng_, &tx_packet_, &frame.structure, &tx_fold_);
         frame.from = graph.node_id(local);
         frame.to = net::kBroadcast;
-        frame.bytes = frame_pool_.serialize(tx_packet_);
+        frame.bytes = frame_pool_.serialize(tx_packet_, tx_fold_, node);
         if (!mac_->enqueue(std::move(frame))) {
           break;  // queue full (MacTap counted the drop); stop for this slot
         }
@@ -311,10 +350,12 @@ void SessionEngine::on_receive_frame(net::NodeId rx, const net::Frame& frame) {
   }
 
   // The view aliases the frame's bytes, which the MAC keeps alive for the
-  // whole handler; the runtime copies what it keeps before returning.
+  // whole handler; the runtime copies what it keeps before returning.  The
+  // payload bytes are folded the first time an accepting runtime reads them.
   coding::CodedPacketView view;
   const bool ok = coding::CodedPacketView::parse(*frame.bytes, &view);
   OMNC_ASSERT_MSG(ok, "malformed frame on the air");
+  view.deferred = FramePool::pending_fold(frame);
 
   // The sim's bytes are always the dense wire form, but the frame's
   // structure side channel keeps the structured decoders' fast paths alive;
@@ -365,10 +406,11 @@ void SessionEngine::on_receive_frame(net::NodeId rx, const net::Frame& frame) {
 void SessionEngine::flush_relay_to(std::size_t session, int local,
                                    std::uint32_t generation_id) {
   Session& state = sessions_[session];
-  if (!state.runtimes[static_cast<std::size_t>(local)].flush_to(
-          generation_id)) {
-    return;
-  }
+  NodeRuntime& relay = state.runtimes[static_cast<std::size_t>(local)];
+  OMNC_ASSERT(relay.role() == NodeRuntime::Role::kRelay);
+  if (relay.generation_id() == generation_id) return;
+  settle_queued(session, local, generation_id);
+  relay.flush_to(generation_id);
   MetricEvent event;
   event.type = MetricEvent::Type::kStaleFlush;
   event.time = simulator_.now();
@@ -376,17 +418,26 @@ void SessionEngine::flush_relay_to(std::size_t session, int local,
   event.node = state.graph->node_id(local);
   event.generation = generation_id;
   bus_.emit(event);
+}
+
+void SessionEngine::settle_queued(std::size_t session, int local,
+                                  std::uint32_t generation_id) {
+  const Session& state = sessions_[session];
+  const net::NodeId node = state.graph->node_id(local);
   if (config_.protocol.flush_stale_frames) {
     const std::uint32_t s = static_cast<std::uint32_t>(session);
-    mac_->purge_queue(state.graph->node_id(local),
-                      [s, generation_id](const net::Frame& frame) {
-                        return frame_session_id(*frame.bytes) == s &&
-                               frame_generation_id(*frame.bytes) <
-                                   generation_id;
-                      });
+    mac_->purge_queue(node, [s, generation_id](const net::Frame& frame) {
+      return frame_session_id(*frame.bytes) == s &&
+             frame_generation_id(*frame.bytes) < generation_id;
+    });
+    return;
   }
-  // Otherwise frames already handed to the MAC drain over the air and are
-  // ignored by every receiver — queued congestion costs channel time.
+  // Queued congestion costs channel time, and a relay still on the frames'
+  // generation may yet accept one: fold while the rows are the draw's.
+  const NodeRuntime& emitter = state.runtimes[static_cast<std::size_t>(local)];
+  mac_->for_each_queued(node, [&emitter](const net::Frame& frame) {
+    FramePool::fold_if_from(frame, emitter);
+  });
 }
 
 void SessionEngine::deliver_ack(std::size_t session, double ack_time) {
@@ -398,6 +449,9 @@ void SessionEngine::deliver_ack(std::size_t session, double ack_time) {
   const double elapsed = ack_time - source.generation_start_time();
   OMNC_ASSERT(elapsed > 0.0);
   const std::uint32_t completed = source.generation_id();
+  // Once retired, the source's blocks may be refilled for the next
+  // generation (below, or at a later slot).
+  settle_queued(session, graph.source, completed + 1);
   source.complete_generation();
   OMNC_LOG_TRACE("session %zu: generation %u acked at t=%.2f", session,
                  completed, ack_time);
@@ -412,20 +466,12 @@ void SessionEngine::deliver_ack(std::size_t session, double ack_time) {
   bus_.emit(event);
 
   // The ACK is pseudo-broadcast on its way back: every node of the session
-  // learns the generation expired.  Relays drop buffered and queued packets
-  // of the old generation; the source drops its queued stale frames.
+  // learns the generation expired.  Relays drop buffered packets of the old
+  // generation (and, like the source above, settle their queued ones).
   const std::uint32_t live = source.generation_id();
   for (int local = 0; local < graph.size(); ++local) {
     if (local == graph.source || local == graph.destination) continue;
     flush_relay_to(session, local, live);
-  }
-  if (config_.protocol.flush_stale_frames) {
-    const std::uint32_t s = static_cast<std::uint32_t>(session);
-    mac_->purge_queue(graph.node_id(graph.source),
-                      [s, live](const net::Frame& frame) {
-                        return frame_session_id(*frame.bytes) == s &&
-                               frame_generation_id(*frame.bytes) < live;
-                      });
   }
   maybe_start_generation(session, simulator_.now());
 

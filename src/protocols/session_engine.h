@@ -100,6 +100,10 @@ class SessionEngine {
   /// `control_blocks_`, when the MAC pops or purges the frame holding them,
   /// so a steady-state slot allocates nothing.  The MAC and every queued
   /// frame must die before the pool.
+  ///
+  /// A frame is queued with its header and coefficients only; its buffer
+  /// keeps the emission's payload fold and its emitter, and writes the
+  /// payload bytes the first time a receiver reads them (DESIGN.md §7).
   class FramePool {
    public:
     FramePool() = default;
@@ -107,17 +111,29 @@ class SessionEngine {
     FramePool& operator=(const FramePool&) = delete;
     ~FramePool();
 
-    /// A pooled buffer holding `packet`'s wire form.
+    /// A pooled buffer holding `head`'s header and coefficients in the
+    /// dense wire form, its payload left for `emitter`'s fold of `fold`.
     std::shared_ptr<const std::vector<std::uint8_t>> serialize(
-        const coding::CodedPacket& packet);
+        const coding::CodedPacket& head, const coding::PayloadFold& fold,
+        const NodeRuntime& emitter);
+
+    /// The frame's payload fold while it has not run, else nullptr.
+    static const coding::DeferredPayload* pending_fold(
+        const net::Frame& frame);
+
+    /// Runs the frame's payload fold now if `emitter` emitted it and it has
+    /// not run yet.
+    static void fold_if_from(const net::Frame& frame,
+                             const NodeRuntime& emitter);
 
    private:
+    class Buffer;
     struct Release {  // the frame's deleter
       FramePool* pool;
-      void operator()(std::vector<std::uint8_t>* buffer) const;
+      void operator()(Buffer* buffer) const;
     };
 
-    std::vector<std::unique_ptr<std::vector<std::uint8_t>>> free_buffers_;
+    std::vector<std::unique_ptr<Buffer>> free_buffers_;
     std::pmr::unsynchronized_pool_resource control_blocks_;
     std::size_t in_flight_ = 0;
   };
@@ -145,6 +161,13 @@ class SessionEngine {
   void deliver_ack(std::size_t session, double ack_time);
   void flush_relay_to(std::size_t session, int local,
                       std::uint32_t generation_id);
+  /// Settles the frames `local` still has queued before its rows change (a
+  /// relay's flush, the source's next generation): with flush_stale_frames
+  /// this session's frames older than `generation_id` leave the queue;
+  /// otherwise they drain over the air, where a relay still on their
+  /// generation may accept them, so their payloads are folded now.
+  void settle_queued(std::size_t session, int local,
+                     std::uint32_t generation_id);
   void emit_rx(std::size_t session, net::NodeId rx, int tx_local, int rx_local,
                int edge, bool innovative);
   double compute_ack_delay(const routing::SessionGraph& graph) const;
@@ -159,9 +182,11 @@ class SessionEngine {
   std::vector<Session> sessions_;
   MetricsBus bus_;
   MacTap mac_tap_;
-  // Reused across slots and receptions: the packet a node emits into before
-  // it is serialized into its frame, and the destination's decode check.
+  // Reused across slots and receptions: the packet a node draws into before
+  // it is serialized into its frame, its payload fold, and the
+  // destination's decode check.
   coding::CodedPacket tx_packet_;
+  coding::PayloadFold tx_fold_;
   std::vector<std::uint8_t> recovered_;
 };
 

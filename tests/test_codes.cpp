@@ -23,6 +23,8 @@
 #include "coding/coded_packet.h"
 #include "coding/decoder.h"
 #include "coding/generation.h"
+#include "coding/recoder.h"
+#include "coding/encoder.h"
 #include "common/rng.h"
 #include "emu/loopback_transport.h"
 #include "emu/session_mux.h"
@@ -430,6 +432,112 @@ TEST(Families, DenseFamilyMatchesReferencePipeline) {
     EXPECT_EQ(packet.payload, expected.payload);
   }
   EXPECT_EQ(family_rng.next_u64(), reference_rng.next_u64());
+}
+
+// --- deferred payload folds -----------------------------------------------
+//
+// The slot simulator runs an emission's draw when a node queues the frame and
+// its payload fold only when a receiver first accepts it, possibly after the
+// emitter has accepted more rows.  Draw-now-fold-later must give the bytes of
+// next_packet_into() / recode_into() and leave the RNG where they leave it.
+
+std::vector<CodeSpec> deferred_fold_specs() {
+  return {CodeSpec::dense(), CodeSpec::systematic(), CodeSpec::banded(4)};
+}
+
+void expect_same_packet(const coding::CodedPacket& got,
+                        const coding::CodedPacket& want) {
+  EXPECT_EQ(got.session_id, want.session_id);
+  EXPECT_EQ(got.generation_id, want.generation_id);
+  EXPECT_EQ(got.generation_blocks, want.generation_blocks);
+  EXPECT_EQ(got.block_bytes, want.block_bytes);
+  EXPECT_EQ(got.coefficients, want.coefficients);
+  EXPECT_EQ(got.payload, want.payload);
+}
+
+TEST(DeferredFold, SourceDrawNowFoldLaterMatchesEagerEmission) {
+  const coding::CodingParams params{12, 40};
+  const coding::Generation gen = coding::Generation::synthetic(3, params, 7);
+  for (const CodeSpec& spec : deferred_fold_specs()) {
+    SCOPED_TRACE(spec.selector());
+    FamilyEncoder deferred(gen, 5, spec);
+    FamilyEncoder eager(gen, 5, spec);
+    Rng deferred_rng(5), eager_rng(5);
+    // More emissions than blocks: systematic originals and then repairs,
+    // every banded window start.
+    constexpr int kBatch = 30;
+    std::vector<coding::CodedPacket> heads(kBatch);
+    std::vector<coding::CodedStructure> structures(kBatch);
+    std::vector<coding::PayloadFold> folds(kBatch);
+    for (int i = 0; i < kBatch; ++i) {
+      deferred.draw_into(deferred_rng, &heads[i], &structures[i], &folds[i]);
+      EXPECT_TRUE(heads[i].payload.empty());
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      coding::CodedPacket want;
+      coding::CodedStructure want_structure;
+      eager.next_packet_into(eager_rng, &want, &want_structure);
+      heads[i].payload.resize(params.block_bytes);
+      deferred.fold_into(folds[i], heads[i].payload.data());
+      EXPECT_EQ(structures[i], want_structure) << "emission " << i;
+      expect_same_packet(heads[i], want);
+    }
+    EXPECT_EQ(deferred_rng.next_u64(), eager_rng.next_u64());
+  }
+}
+
+TEST(DeferredFold, RelayFoldAfterArenaMovesMatchesEagerRecode) {
+  const coding::CodingParams params{16, 40};
+  const coding::Generation gen = coding::Generation::synthetic(0, params, 9);
+  {  // The premise: a relay's payload arena moves while it grows from rank
+     // 2 to n, so a recipe drawn at rank 2 must not hold row addresses.
+    coding::Recoder recoder(params, 0, 0);
+    coding::SourceEncoder source(gen, 0);
+    Rng rng(4);
+    while (recoder.rank() < 2) recoder.offer(source.next_packet(rng));
+    const std::uint8_t* before = recoder.row_payload(0).data();
+    while (!recoder.is_full()) recoder.offer(source.next_packet(rng));
+    EXPECT_NE(recoder.row_payload(0).data(), before);
+  }
+  for (const CodeSpec& spec : deferred_fold_specs()) {
+    SCOPED_TRACE(spec.selector());
+    FamilyEncoder source(gen, 0, spec);
+    FamilyRecoder deferred(params, 0, 0, spec);
+    FamilyRecoder eager(params, 0, 0, spec);
+    Rng source_rng(12);
+    coding::CodedPacket packet;
+    coding::CodedStructure structure;
+    const auto feed_both = [&](std::size_t rank) {
+      for (int sent = 0; deferred.rank() < rank; ++sent) {
+        ASSERT_LT(sent, 1024);
+        source.next_packet_into(source_rng, &packet, &structure);
+        const coding::CodedPacketView view = slice_view(packet, structure);
+        ASSERT_EQ(deferred.offer(view, structure),
+                  eager.offer(view, structure));
+      }
+    };
+    feed_both(2);
+    // At rank 2: the structured relays' verbatim forwards, then recodes.
+    constexpr int kBatch = 6;
+    Rng deferred_rng(31), eager_rng(31);
+    std::vector<coding::CodedPacket> heads(kBatch), wants(kBatch);
+    std::vector<coding::CodedStructure> structures(kBatch),
+        want_structures(kBatch);
+    std::vector<coding::PayloadFold> folds(kBatch);
+    for (int i = 0; i < kBatch; ++i) {
+      deferred.draw_into(deferred_rng, &heads[i], &structures[i], &folds[i]);
+      eager.recode_into(eager_rng, &wants[i], &want_structures[i]);
+    }
+    EXPECT_EQ(deferred_rng.next_u64(), eager_rng.next_u64());
+    feed_both(params.generation_blocks);
+    for (int i = 0; i < kBatch; ++i) {
+      EXPECT_TRUE(heads[i].payload.empty());
+      heads[i].payload.resize(params.block_bytes);
+      deferred.fold_into(folds[i], heads[i].payload.data());
+      EXPECT_EQ(structures[i], want_structures[i]) << "emission " << i;
+      expect_same_packet(heads[i], wants[i]);
+    }
+  }
 }
 
 // --- every supported GF backend decodes byte-exactly ----------------------

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
 
@@ -311,12 +312,41 @@ TEST(SlottedMac, PurgeQueueByPredicate) {
   }
   mac.purge_queue(0, [](const Frame& f) { return (*f.bytes)[0] % 2 == 0; });
   EXPECT_EQ(mac.queue_size(0), 3u);
+  // The survivors keep their order, and walking them changes nothing.
+  std::vector<std::uint8_t> walked;
+  mac.for_each_queued(
+      0, [&](const Frame& f) { walked.push_back((*f.bytes)[0]); });
+  EXPECT_EQ(walked, (std::vector<std::uint8_t>{1, 3, 5}));
+  EXPECT_EQ(mac.queue_size(0), 3u);
 }
+
+/// Averages the MAC's per-slot queue samples per node id and counts the
+/// collisions it reports.
+class QueueObserver final : public MacObserver {
+ public:
+  explicit QueueObserver(int nodes)
+      : averages(static_cast<std::size_t>(nodes)) {}
+  void on_queue_sample(sim::Time now, NodeId node,
+                       std::size_t queue_len) override {
+    averages[static_cast<std::size_t>(node)].advance_to(
+        now, static_cast<double>(queue_len));
+  }
+  void on_collision(sim::Time, NodeId) override { ++collisions; }
+
+  double queue_average(NodeId node) const {
+    return averages[static_cast<std::size_t>(node)].average();
+  }
+
+  std::vector<TimeAverage> averages;  // by node id
+  std::size_t collisions = 0;
+};
 
 TEST(SlottedMac, QueueTimeAverageTracksBacklog) {
   sim::Simulator sim;
   const Topology topo = line_topology(1.0);
   SlottedMac mac(sim, topo, {0, 1, 2}, ideal_config(), Rng(12));
+  QueueObserver queues(topo.node_count());
+  mac.set_observer(&queues);
   // Enqueue 10 frames at once; they drain one per slot, so the time-averaged
   // queue over the drain period is ~(9+8+...+0)/10 = 4.5.
   for (int i = 0; i < 10; ++i) {
@@ -329,7 +359,7 @@ TEST(SlottedMac, QueueTimeAverageTracksBacklog) {
   mac.start();
   sim.run_until(1.05);  // ~10 slots
   mac.stop();
-  EXPECT_NEAR(mac.queue_time_average(0), 4.5, 1.0);
+  EXPECT_NEAR(queues.queue_average(0), 4.5, 1.0);
 }
 
 TEST(SlottedMac, CsmaModeStillDelivers) {
@@ -394,12 +424,6 @@ struct Replay {
   std::vector<double> queue_average;  // per node id
 };
 
-class CollisionCounter final : public MacObserver {
- public:
-  void on_collision(sim::Time, NodeId) override { ++collisions; }
-  std::size_t collisions = 0;
-};
-
 /// 3000 slots of fixed offered load: node i enqueues kBurst[i] frames every
 /// kPeriod[i] slots into a 6-frame queue (so some nodes overflow).  Node 5
 /// always sends reliable unicast to 4, which keeps multi-slot attempts in
@@ -413,8 +437,8 @@ Replay run_replay(const MacConfig& config, bool all_unicast) {
   const Topology topo = hidden_terminal_topology();
   // A participant order unlike the node ids exercises the index mapping.
   SlottedMac mac(sim, topo, {3, 0, 5, 1, 4, 2}, config, Rng(2024));
-  CollisionCounter counter;
-  mac.set_observer(&counter);
+  QueueObserver observer(topo.node_count());
+  mac.set_observer(&observer);
   const auto bytes = payload();
   int slot = 0;
   mac.add_slot_hook([&](sim::Time) {
@@ -439,10 +463,10 @@ Replay run_replay(const MacConfig& config, bool all_unicast) {
   Replay replay;
   for (NodeId n = 0; n < 6; ++n) {
     replay.transmissions.push_back(mac.transmissions(n));
-    replay.queue_average.push_back(mac.queue_time_average(n));
+    replay.queue_average.push_back(observer.queue_average(n));
   }
   replay.deliveries = mac.total_deliveries();
-  replay.collisions = counter.collisions;
+  replay.collisions = observer.collisions;
   replay.drops = mac.total_drops();
   replay.retry_failures = mac.total_retry_failures();
   return replay;

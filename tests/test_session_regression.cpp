@@ -20,9 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "codes/code_spec.h"
 #include "net/topology.h"
 #include "obs/trace.h"
 #include "protocols/more.h"
+#include "protocols/multi_unicast.h"
 #include "protocols/oldmore.h"
 #include "protocols/omnc.h"
 #include "routing/node_selection.h"
@@ -159,6 +161,91 @@ TEST(SessionRegression, MoreWithFadingAndStaleFlushMatches) {
                 Pin{464, 3965.0276179016255, 4360.3167827162251,
                     0.75172687389152903, 1.0, 1.0, 15198, 15575, 0,
                     {3599, 3045, 1422, 2291}});
+}
+
+// The structured families on the slot simulator: systematic originals and
+// repairs, banded windows, and the relays' verbatim forwards of both.  These
+// pins were captured before the simulator deferred payload folds to the
+// first accepting receiver; the deferral must not move them.
+
+ProtocolConfig family_config(const codes::CodeSpec& code) {
+  ProtocolConfig config = pin_config(42);
+  config.code = code;
+  return config;
+}
+
+TEST(SessionRegression, OmncSystematicMatches) {
+  const net::Topology topo = diamond();
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  OmncProtocol protocol(topo, graph,
+                        family_config(codes::CodeSpec::systematic()),
+                        OmncConfig{});
+  const SessionResult result = protocol.run();
+  expect_pinned(result, protocol.edge_innovative_deliveries(),
+                Pin{281, 2400.0567184227439, 2520.556804048575,
+                    3.6563520955849036, 1.0, 1.0, 16690, 14623, 0,
+                    {1992, 1753, 1138, 1111}});
+}
+
+TEST(SessionRegression, OmncBandedMatches) {
+  const net::Topology topo = diamond();
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  OmncProtocol protocol(topo, graph, family_config(codes::CodeSpec::banded(2)),
+                        OmncConfig{});
+  const SessionResult result = protocol.run();
+  expect_pinned(result, protocol.edge_innovative_deliveries(),
+                Pin{231, 1974.2452733345424, 2139.8194112711481,
+                    4.4382292541772133, 1.0, 1.0, 16783, 14588, 0,
+                    {1661, 1453, 1008, 845}});
+}
+
+TEST(SessionRegression, MoreSystematicMatches) {
+  const net::Topology topo = diamond();
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  MoreProtocol protocol(topo, graph,
+                        family_config(codes::CodeSpec::systematic()),
+                        MoreConfig{});
+  const SessionResult result = protocol.run();
+  expect_pinned(result, protocol.edge_innovative_deliveries(),
+                Pin{415, 3543.0782993965495, 3658.6083762592502,
+                    0.71788948007092845, 1.0, 1.0, 15202, 16136, 0,
+                    {3321, 3229, 881, 2440}});
+}
+
+TEST(SessionRegression, MoreBandedMatches) {
+  const net::Topology topo = diamond();
+  const routing::SessionGraph graph = routing::select_nodes(topo, 0, 3);
+  MoreProtocol protocol(topo, graph, family_config(codes::CodeSpec::banded(2)),
+                        MoreConfig{});
+  const SessionResult result = protocol.run();
+  expect_pinned(result, protocol.edge_innovative_deliveries(),
+                Pin{366, 3125.1766742471341, 3284.676262004713,
+                    0.73847194996731913, 1.0, 1.0, 15295, 16054, 0,
+                    {2879, 2750, 822, 2106}});
+}
+
+TEST(SessionRegression, TwoSessionMultiUnicastMatches) {
+  // Opposite sessions over the diamond: both relays carry both sessions, so
+  // their MAC queues interleave two sessions' frames, and each end node is
+  // one session's source and the other's destination.  Fading on, stale
+  // frames left to drain over the air (the default).
+  const net::Topology topo = diamond();
+  const routing::SessionGraph forward = routing::select_nodes(topo, 0, 3);
+  const routing::SessionGraph backward = routing::select_nodes(topo, 3, 0);
+  MultiUnicastConfig config;
+  config.protocol = pin_config(11);
+  config.protocol.mac.fading.enabled = true;
+  MultiUnicastOmnc runner(topo, {&forward, &backward}, config);
+  const MultiUnicastResult result = runner.run();
+  ASSERT_EQ(result.sessions.size(), 2u);
+  expect_pinned(result.sessions[0], result.edge_innovative[0],
+                Pin{153, 1306.0603862864475, 1478.1752790535604,
+                    0.66749509941194396, 1.0, 1.0, 16769, 6013, 0,
+                    {1187, 906, 739, 485}});
+  expect_pinned(result.sessions[1], result.edge_innovative[1],
+                Pin{153, 1318.0589522463854, 1479.9826699879375,
+                    0.66749509941194396, 1.0, 1.0, 16769, 6595, 0,
+                    {490, 741, 1010, 1187}});
 }
 
 }  // namespace
